@@ -311,37 +311,36 @@ class DaosArray(DaosObject):
         if kind not in ("write", "read"):
             raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
         charges: Dict[Target, float] = {}
+        get = charges.get
         share = nbytes / self.n_groups
-
-        def add(target: Target, amount: float) -> None:
-            charges[target] = charges.get(target, 0.0) + amount
-
-        for group in self.groups:
-            if self.oc.is_ec:
-                k, p = self.oc.ec_k, self.oc.ec_p
-                if kind == "write":
-                    for member in group:
-                        add(member, share / k)
-                else:
-                    served = 0
-                    for member in group:
-                        if served >= k:
+        oc = self.oc
+        if oc.is_ec:
+            k = oc.ec_k
+            cell = share / k
+            # writes reach every live member (dead ones are skipped, as
+            # in _store_chunk); reads take the first k live cells
+            limit = k if kind == "read" else oc.group_width
+            for group in self.groups:
+                served = 0
+                for member in group:
+                    if served >= limit:
+                        break
+                    if member.alive:
+                        charges[member] = get(member, 0.0) + cell
+                        served += 1
+        elif oc.is_replicated:
+            # writes reach every live replica, reads the first one
+            first_only = kind == "read"
+            for group in self.groups:
+                for member in group:
+                    if member.alive:
+                        charges[member] = get(member, 0.0) + share
+                        if first_only:
                             break
-                        if member.alive:
-                            add(member, share / k)
-                            served += 1
-            elif self.oc.is_replicated:
-                if kind == "write":
-                    for member in group:
-                        if member.alive:
-                            add(member, share)
-                else:
-                    for member in group:
-                        if member.alive:
-                            add(member, share)
-                            break
-            else:
-                add(group[0], share)
+        else:
+            for group in self.groups:
+                member = group[0]
+                charges[member] = get(member, 0.0) + share
         return charges
 
     def truncate(self, new_size: Bytes) -> None:

@@ -56,13 +56,11 @@ def cohort_weight(w: float, n: int) -> float:
     over member edges, so the exactness contract (cohort mode ==
     per-client mode, bit for bit) requires reproducing that fold —
     ``((w + w) + w) ...`` — rather than computing ``n * w``, which
-    rounds differently for most ``n``.  See docs/PERFORMANCE.md.
+    rounds differently for most ``n``.  ``np.cumsum`` is that fold: it
+    accumulates strictly left to right.  See docs/PERFORMANCE.md.
     """
     if n <= _EXACT_COHORT_SUM:
-        total = 0.0
-        for _ in range(n):
-            total += w
-        return total
+        return float(np.cumsum(np.full(n, w))[-1])
     return n * w
 
 
@@ -194,7 +192,7 @@ class DaosClient:
     def _link_loads_for_data(
         self,
         kind: str,
-        charges: Dict[Target, int],
+        charges: Dict[Target, float],
         touch_ssd: bool = True,
         touch_net: bool = True,
     ) -> Dict[Link, float]:
@@ -301,7 +299,7 @@ class DaosClient:
     def bulk_transfer(
         self,
         kind: str,
-        charges: Dict[Target, int],
+        charges: Dict[Target, float],
         md_ops_by_engine: Optional[Dict[Engine, float]] = None,
         rsvc_ops: float = 0.0,
         touch_ssd: bool = True,

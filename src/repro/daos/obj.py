@@ -7,7 +7,7 @@ from typing import List
 from repro.daos.container import Container
 from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
-from repro.daos.placement import place_groups
+from repro.daos.placement import start_slot
 from repro.daos.pool import Target
 
 __all__ = ["DaosObject"]
@@ -25,17 +25,16 @@ class DaosObject:
         self.oc = oc
         pool = container.pool
         n_groups = oc.resolve_groups(pool.n_targets)
-        layout = place_groups(
+        start = start_slot(
             oid_key=oid.as_int(),
             n_groups=n_groups,
             group_width=oc.group_width,
             ring_size=pool.n_targets,
             salt=(pool.label, container.id),
         )
-        #: per group, the targets holding its shards (data first, then parity)
-        self.groups: List[List[Target]] = [
-            [pool.ring[slot] for slot in group] for group in layout
-        ]
+        #: per group, the targets holding its shards (data first, then
+        #: parity): the ring slots :func:`place_groups` picks, as slices
+        self.groups: List[List[Target]] = pool.ring_groups(start, n_groups, oc.group_width)
 
     @property
     def n_groups(self) -> int:

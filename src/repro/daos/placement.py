@@ -18,7 +18,7 @@ from typing import List, Sequence, TypeVar
 from repro.errors import InvalidArgumentError
 from repro.sim.randomness import stable_hash64
 
-__all__ = ["jump_consistent_hash", "interleave_ring", "place_groups"]
+__all__ = ["jump_consistent_hash", "interleave_ring", "start_slot", "place_groups"]
 
 T = TypeVar("T")
 
@@ -52,6 +52,27 @@ def interleave_ring(groups_of_items: Sequence[Sequence[T]]) -> List[T]:
     return ring
 
 
+def start_slot(
+    oid_key: int,
+    n_groups: int,
+    group_width: int,
+    ring_size: int,
+    salt: object = "",
+) -> int:
+    """The ring slot where an object's first group starts.
+
+    The single placement rule: an object occupies ``n_groups *
+    group_width`` consecutive ring slots (wrapping) from this slot,
+    which is a consistent hash of the OID.
+    """
+    total = n_groups * group_width
+    if total > ring_size:
+        raise InvalidArgumentError(
+            f"object needs {total} targets but the pool ring has {ring_size}"
+        )
+    return jump_consistent_hash(stable_hash64(oid_key, salt), ring_size)
+
+
 def place_groups(
     oid_key: int,
     n_groups: int,
@@ -63,15 +84,10 @@ def place_groups(
 
     Returns, per group, the list of ring indices holding its shards.
     Consecutive ring slots are used so groups inherit the ring's
-    node-interleaving; the starting slot is a consistent hash of the OID,
-    so placement is deterministic, uniform across objects, and needs no
-    lookup table.
+    node-interleaving; the starting slot is a consistent hash of the OID
+    (:func:`start_slot`), so placement is deterministic, uniform across
+    objects, and needs no lookup table.
     """
-    total = n_groups * group_width
-    if total > ring_size:
-        raise InvalidArgumentError(
-            f"object needs {total} targets but the pool ring has {ring_size}"
-        )
-    start = jump_consistent_hash(stable_hash64(oid_key, salt), ring_size)
-    slots = [(start + i) % ring_size for i in range(total)]
+    start = start_slot(oid_key, n_groups, group_width, ring_size, salt)
+    slots = [(start + i) % ring_size for i in range(n_groups * group_width)]
     return [slots[g * group_width : (g + 1) * group_width] for g in range(n_groups)]

@@ -112,6 +112,8 @@ class Pool:
         self.ring: List[Target] = interleave_ring([e.targets for e in self.engines])
         for idx, target in enumerate(self.ring):
             target.global_index = idx
+        #: the ring twice over, so a window that wraps is one slice
+        self._ring2: List[Target] = self.ring + self.ring
         #: pool service (RSVC): fixed capacity regardless of pool size
         self.rsvc_link: Link = cluster.net.add_link(
             f"{label}.rsvc", self.params.pool_service_capacity
@@ -133,6 +135,13 @@ class Pool:
 
     def alive_targets(self) -> List[Target]:
         return [t for t in self.ring if t.alive]
+
+    def ring_groups(self, start: int, n_groups: int, width: int) -> List[List[Target]]:
+        """``n_groups`` consecutive windows of ``width`` ring targets from
+        slot ``start``, wrapping; every window is a fresh list, so an
+        object may edit its layout in place (rebuild does)."""
+        ring2 = self._ring2
+        return [ring2[s : s + width] for s in range(start, start + n_groups * width, width)]
 
     # -- containers (functional; timing lives in DaosClient) -----------------
     def create_container(self, label: str, **properties) -> "Container":

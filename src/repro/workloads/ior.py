@@ -21,7 +21,9 @@ Supported APIs (the series of Figs. 1-6):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ceph.rados import CephPool
 from repro.daos.pool import Pool, Target
@@ -50,6 +52,44 @@ def uniform_target_charges(pool: Pool, nbytes: float) -> Dict[Target, float]:
     targets = pool.alive_targets()
     share = nbytes / len(targets)
     return {t: share for t in targets}
+
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
+    #: per-target charges as parallel (ring index, amount) arrays
+    ChargeProfile = Tuple[NDArray[np.intp], NDArray[np.float64]]
+
+
+def charge_profile(charges: Dict[Target, float]) -> ChargeProfile:
+    """A per-target charge dict as parallel (ring index, amount) arrays,
+    in the dict's order."""
+    idx = np.fromiter((t.global_index for t in charges), dtype=np.intp, count=len(charges))
+    return idx, np.fromiter(charges.values(), dtype=np.float64, count=len(charges))
+
+
+def merge_charges(
+    ring: Sequence[Target],
+    profiles: Sequence[ChargeProfile],
+    scale: float = 1.0,
+) -> Dict[Target, float]:
+    """Sum :func:`charge_profile` arrays, each amount times ``scale``,
+    into one per-target charge dict (``ring`` maps indices to targets).
+
+    Bit-identical to the dict fold ``charges[t] = charges.get(t, 0.0) +
+    a * scale`` over the profiles in turn: ``np.bincount`` adds each
+    bin's weights in input order, starting from 0.0.  Keys come out in
+    first-appearance order, as the fold inserts them, so a later
+    ``sum(charges.values())`` adds in the same order too.  See
+    docs/PERFORMANCE.md.
+    """
+    if not profiles:
+        return {}
+    idx = np.concatenate([p[0] for p in profiles])
+    sums = np.bincount(idx, weights=np.concatenate([p[1] for p in profiles]) * scale)
+    _, first = np.unique(idx, return_index=True)
+    order = idx[np.sort(first)]
+    return dict(zip([ring[i] for i in order.tolist()], sums[order].tolist()))
 
 
 def engine_request_ops(charges: Dict[Target, float], total_ops: float) -> Dict[Any, float]:
@@ -87,9 +127,10 @@ class _DaosIor(_IorRunner):
 
     def __init__(self, env: Any, cfg: WorkloadConfig, recorder: Any = None) -> None:
         super().__init__(env, cfg, recorder)
-        # per-(array, kind) unit charge profiles; bulk_charges is linear
-        # in nbytes, so each profile is computed once and scaled per batch
-        self._unit_charges: Dict[Any, Dict[Target, float]] = {}
+        # per-(array, kind) unit charge profiles as (ring index, amount)
+        # arrays; bulk_charges is linear in nbytes, so each profile is
+        # computed once and scaled per batch
+        self._unit_charges: Dict[Any, ChargeProfile] = {}
         #: per-state segment base offset (shared-file mode)
         self._base: Dict[int, int] = {}
         self._shared_array: Any = None
@@ -153,8 +194,8 @@ class _DaosIor(_IorRunner):
 
     def _charges(self, states: Any, phase: str, ops: int) -> Dict[Target, float]:
         kind = "write" if phase == "write" else "read"
-        nbytes = ops * self.cfg.op_size
-        charges: Dict[Target, float] = {}
+        nbytes = float(ops * self.cfg.op_size)
+        profiles: List[ChargeProfile] = []
         for state in states:
             arr = self._array_of(state)
             # keyed on the pool-map version so fault injection / rebuild
@@ -162,11 +203,10 @@ class _DaosIor(_IorRunner):
             key = (id(arr), kind, arr.container.pool.map_version)
             unit = self._unit_charges.get(key)
             if unit is None:
-                unit = arr.bulk_charges(kind, 1)
+                unit = charge_profile(arr.bulk_charges(kind, 1))
                 self._unit_charges[key] = unit
-            for target, nb in unit.items():
-                charges[target] = charges.get(target, 0.0) + nb * nbytes
-        return charges
+            profiles.append(unit)
+        return merge_charges(self.env.pool.ring, profiles, nbytes)
 
     def batch_flow(self, node: Any, states: Any, phase: str, ops: int) -> Generator[Any, Any, None]:
         kind = "write" if phase == "write" else "read"
@@ -425,14 +465,13 @@ class _Hdf5PosixIor(_IorRunner):
         client = self.env.client(node)
         cfg = self.cfg
         md_per_op = self.h5.md_writes_per_op if phase == "write" else self.h5.md_reads_per_op
-        charges: Dict[Target, float] = {}
-        for h5file in states:
-            data_bytes = ops * cfg.op_size
-            md_bytes = ops * md_per_op * self.h5.md_io_size
-            for target, nb in h5file.handle.array.bulk_charges(
-                kind, int(data_bytes + md_bytes)
-            ).items():
-                charges[target] = charges.get(target, 0.0) + nb
+        data_bytes = ops * cfg.op_size
+        md_bytes = ops * md_per_op * self.h5.md_io_size
+        profiles = [
+            charge_profile(h5file.handle.array.bulk_charges(kind, int(data_bytes + md_bytes)))
+            for h5file in states
+        ]
+        charges = merge_charges(self.env.pool.ring, profiles)
         total_ops = ops * len(states) * (1 + md_per_op)
         req = engine_request_ops(charges, total_ops)
         fuse = self.env.dfuse(node)

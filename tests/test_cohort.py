@@ -82,6 +82,22 @@ def test_cohort_weight_matches_bincount_accumulation():
             assert cohort_weight(w, n) == ref  # exact: fold-sum contract
 
 
+def _loop_fold(w: float, n: int) -> float:
+    """The sequential Python fold ``cohort_weight`` must reproduce."""
+    total = 0.0
+    for _ in range(n):
+        total += w
+    return total
+
+
+def test_cohort_weight_matches_python_loop_fold():
+    rng = np.random.default_rng(20_000)
+    ws = rng.uniform(1e-9, 1e3, 300) * 10.0 ** rng.integers(-5, 6, 300)
+    ns = [1, 2, 3, _EXACT_COHORT_SUM] + rng.integers(1, _EXACT_COHORT_SUM + 1, 296).tolist()
+    for w, n in zip(ws.tolist(), ns):
+        assert cohort_weight(w, n).hex() == _loop_fold(w, n).hex()
+
+
 def test_cohort_weight_large_n_uses_multiplication():
     n = _EXACT_COHORT_SUM + 1
     assert cohort_weight(0.1, n) == n * 0.1  # exact: same expression

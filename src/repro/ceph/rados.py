@@ -16,7 +16,7 @@ from repro.hardware.cluster import ClientNode
 from repro.obs.ledger import NULL_CONTEXT, NULL_LEDGER
 from repro.sim.core import Interrupt
 from repro.sim.flownet import Link
-from repro.units import Bytes
+from repro.units import Bytes, zeros
 
 __all__ = ["CephPool", "RadosClient"]
 
@@ -427,7 +427,7 @@ class RadosClient:
             if pool.materialize and record is not None:
                 piece = bytes(record["data"][offset : offset + readable])
                 return piece.ljust(readable, b"\0")
-            return b"\0" * readable
+            return zeros(readable)
 
         hist = self._m_lat_r if self._obs is not None else None
         return (yield from run_with_retry(self, op, "read", "ceph.lat.read", hist))
@@ -458,7 +458,7 @@ class RadosClient:
             op_ctx.mark_degraded()
         yield from self._data_flow("read", per_osd, "rados-ec-read", op_ctx=op_ctx)
         if not pool.materialize:
-            return b"\0" * readable
+            return zeros(readable)
         cells = {
             i: bytes(available[i].objects[(pool.name, obj)]["data"]) for i in serving
         }

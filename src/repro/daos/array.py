@@ -27,7 +27,7 @@ from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.pool import Target
 from repro.errors import DataLossError, InvalidArgumentError, UnavailableError
-from repro.units import Bytes, MiB
+from repro.units import Bytes, MiB, zeros
 
 __all__ = ["DaosArray"]
 
@@ -79,14 +79,13 @@ class DaosArray(DaosObject):
 
     # -- chunk storage ------------------------------------------------------------
     def _load_chunk(self, chunk_idx: int) -> Optional[bytearray]:
-        """Assemble a chunk's current bytes (None if never written)."""
+        """Assemble a materialised chunk's current bytes (None if never
+        written)."""
         extent = self._extents.get(chunk_idx)
         if extent is None:
             return None
         gi = self._group_of_chunk(chunk_idx)
         buf = bytearray(self.chunk_size)
-        if not self.materialize:
-            return buf
         group = self.groups[gi]
         if self.oc.is_ec:
             k, p = self.oc.ec_k, self.oc.ec_p
@@ -145,29 +144,34 @@ class DaosArray(DaosObject):
         shard[("__sizes__", chunk_idx)] = accounted
 
     def _store_chunk(
-        self, chunk_idx: int, buf: bytearray, extent: int
+        self, chunk_idx: int, buf: Optional[bytearray], extent: int
     ) -> Dict[Target, int]:
-        """Write a chunk's bytes to its group; returns per-target charges."""
+        """Write a chunk to its group; returns per-target charges.
+
+        ``buf`` is the chunk's bytes, or None for a non-materialising
+        container: shards then keep empty payloads, while quorum checks
+        and space accounting run exactly as for real bytes.
+        """
         gi = self._group_of_chunk(chunk_idx)
         group = self.groups[gi]
         charges: Dict[Target, int] = {}
         if self.oc.is_ec:
             k, p = self.oc.ec_k, self.oc.ec_p
             cell = self.cell_size
-            data_cells = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
             alive_total = sum(1 for t in group if t.alive)
             if alive_total < k:
                 raise UnavailableError(
                     f"chunk {chunk_idx} of {self.oid}: below EC write quorum"
                 )
-            parity_cells = erasure.encode(data_cells, p) if self.materialize else [b""] * p
+            if buf is None:
+                cells = [b""] * (k + p)
+            else:
+                cells = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
+                cells += erasure.encode(cells, p)
             for member, target in enumerate(group):
                 if not target.alive:
                     continue
-                if self.materialize:
-                    payload = data_cells[member] if member < k else parity_cells[member - k]
-                else:
-                    payload = b""
+                payload = cells[member]
                 self._put_shard_chunk(
                     target, self.shard_key(gi, member), chunk_idx, payload, cell
                 )
@@ -176,7 +180,7 @@ class DaosArray(DaosObject):
             alive = [(m, t) for m, t in enumerate(group) if t.alive]
             if not alive:
                 raise UnavailableError(f"chunk {chunk_idx} of {self.oid}: group down")
-            payload = bytes(buf[:extent]) if self.materialize else b""
+            payload = b"" if buf is None else bytes(buf[:extent])
             for member, target in alive:
                 self._put_shard_chunk(
                     target, self.shard_key(gi, member), chunk_idx, payload, extent
@@ -212,11 +216,11 @@ class DaosArray(DaosObject):
             end = min(offset + nbytes, chunk_base + self.chunk_size) - chunk_base
             piece_len = end - start
             prev_extent = self._extents.get(chunk_idx, 0)
-            if prev_extent:
-                buf = self._load_chunk(chunk_idx)
-            else:
-                buf = bytearray(self.chunk_size)
+            buf: Optional[bytearray] = None
             if self.materialize:
+                buf = self._load_chunk(chunk_idx) if prev_extent else None
+                if buf is None:
+                    buf = bytearray(self.chunk_size)
                 buf[start:end] = data[pos : pos + piece_len]
             new_extent = max(prev_extent, end)
             chunk_charges = self._store_chunk(chunk_idx, buf, new_extent)
@@ -243,28 +247,29 @@ class DaosArray(DaosObject):
         """Read ``nbytes`` at ``offset``; returns ``(data, charges)``.
 
         Holes and regions past the written size read as zeros (the timed
-        charge covers only bytes actually fetched from targets).
+        charge covers only bytes actually fetched from targets).  A
+        non-materialising container fetches no bytes at all: it returns
+        one shared zero buffer, and the charge loop alone decides
+        liveness errors and failovers.
         """
         if offset < 0 or nbytes < 0:
             raise InvalidArgumentError("negative offset or length")
         if nbytes == 0:
             return b"", {}
-        out = bytearray(nbytes)
+        out = bytearray(nbytes) if self.materialize else None
         charges: Dict[Target, int] = {}
         for chunk_idx in self._chunk_range(offset, nbytes):
             chunk_base = chunk_idx * self.chunk_size
             start = max(offset, chunk_base) - chunk_base
             end = min(offset + nbytes, chunk_base + self.chunk_size) - chunk_base
             extent = self._extents.get(chunk_idx, 0)
-            if extent == 0:
-                continue  # hole: zeros, no transfer
-            buf = self._load_chunk(chunk_idx)
-            piece = bytes(buf[start:end])
-            out_base = chunk_base + start - offset
-            out[out_base : out_base + len(piece)] = piece
             read_len = min(end, extent) - start
             if read_len <= 0:
-                continue
+                continue  # hole or past the extent: zeros, no transfer
+            if out is not None:
+                buf = self._load_chunk(chunk_idx)
+                out_base = chunk_base + start - offset
+                out[out_base : out_base + end - start] = buf[start:end]
             gi = self._group_of_chunk(chunk_idx)
             group = self.groups[gi]
             if self.oc.is_ec:
@@ -297,7 +302,7 @@ class DaosArray(DaosObject):
                     raise DataLossError(
                         f"chunk {chunk_idx} of {self.oid}: no live replica"
                     )
-        return bytes(out), charges
+        return (zeros(nbytes) if out is None else bytes(out)), charges
 
     def bulk_charges(self, kind: str, nbytes: Bytes) -> Dict[Target, float]:
         """Analytic per-target byte charges for ``nbytes`` of sequential

@@ -15,7 +15,7 @@ from repro.errors import (
     InvalidArgumentError,
     NotFoundError,
 )
-from repro.units import MiB
+from repro.units import MiB, zeros
 
 __all__ = ["Dfs", "DfsFile"]
 
@@ -183,7 +183,7 @@ class Dfs:
         if not handle.open:
             raise InvalidArgumentError(f"{handle.path!r} is closed")
         if data is None and nbytes is not None and self.container.materialize:
-            data = b"\0" * nbytes  # size-only writes store zeros, as POSIX would
+            data = zeros(nbytes)  # size-only writes store zeros, as POSIX would
         yield from self.client.array_write(handle.array, offset, data=data, nbytes=nbytes)
 
     def read(self, handle: DfsFile, offset: int, nbytes: int) -> Generator:

@@ -15,7 +15,7 @@ from repro.lustre.mds import Inode
 from repro.lustre.ost import Ost
 from repro.sim.core import Interrupt
 from repro.sim.flownet import Link
-from repro.units import Bytes
+from repro.units import Bytes, zeros
 
 __all__ = ["LustreClient", "LustreFile"]
 
@@ -345,7 +345,7 @@ class LustreClient:
         def op(opx) -> Generator:
             yield self._serial()
             opx.note("serial")
-            out = bytearray(nbytes)
+            out: Optional[bytearray] = None
             per_ost: Dict[Ost, int] = {}
             pos = 0
             for ost, stripe, chunk_idx, in_chunk, length in self._stripe_map(
@@ -356,11 +356,13 @@ class LustreClient:
                     per_ost[ost] = per_ost.get(ost, 0) + readable
                     obj = ost.lookup((handle.inode.inode_id, stripe))
                     if obj is not None and chunk_idx in obj:
-                        piece = bytes(obj[chunk_idx][in_chunk : in_chunk + readable])
+                        piece = obj[chunk_idx][in_chunk : in_chunk + readable]
+                        if out is None:
+                            out = bytearray(nbytes)
                         out[pos : pos + len(piece)] = piece
                 pos += length
             yield from self._data_flow("read", per_ost, "lustre-read", op_ctx=opx)
-            return bytes(out)
+            return zeros(nbytes) if out is None else bytes(out)
 
         hist = self._m_lat_r if self._obs is not None else None
         return (yield from run_with_retry(self, op, "read", "lustre.lat.read", hist))

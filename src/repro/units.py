@@ -8,6 +8,8 @@ so configuration and reporting read like the paper (``1 MiB`` I/O,
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Dimension aliases for annotations.  At runtime these are plain
 # ``int``/``float`` — zero cost, zero behaviour change — but simflow's
 # SL014 checker reads them as dimension declarations and propagates
@@ -59,6 +61,21 @@ def parse_size(text: str | int | float) -> int:
             number = s[: -len(suffix)]
             return int(float(number) * _SUFFIXES[suffix])
     return int(float(s))
+
+
+@lru_cache(maxsize=8)
+def zeros(n: Bytes) -> bytes:
+    """``n`` zero bytes, shared between callers.
+
+    Stores that keep no payload (non-materialising containers, holes,
+    size-only reads) return this instead of allocating a fresh buffer
+    per op.  ``bytes`` is immutable, so sharing one object is safe; the
+    cache holds only the few most recent sizes.
+
+    >>> zeros(3)
+    b'\\x00\\x00\\x00'
+    """
+    return bytes(n)
 
 
 def fmt_bytes(n: float) -> str:

@@ -1,7 +1,7 @@
 """SL012: host wall-clock/RNG values never flow into modelled state.
 
 SL001/SL002 forbid wall-clock and ambient-RNG *calls* outside a small
-allowlist (the bench harness times itself; the profiler reads
+allowlist (the CLI and executors time themselves; the profiler reads
 ``perf_counter``).  That is necessary but not sufficient: an allowlisted
 file could read the host clock legally and then pass the value into the
 model — as a seed, a latency parameter, a capacity — which couples

@@ -6,10 +6,12 @@
 - :mod:`repro.harness.plan` — declarative :class:`RunPlan`\\ s: the
   specs a figure needs plus a pure assembly function, with intra- and
   cross-figure deduplication;
-- :mod:`repro.harness.executor` — :class:`SerialExecutor` /
-  :class:`ParallelExecutor` satisfy plans (bit-identical results either
-  way) and :func:`execute_plans` pipelines dedup → cache → execute →
-  assemble;
+- :mod:`repro.harness.executor` — :class:`SerialExecutor` satisfies
+  plans in-process and :func:`execute_plans` pipelines dedup → cache →
+  execute → assemble;
+- :mod:`repro.harness.resilience` — :class:`ResilientParallelExecutor`
+  fans points over worker processes (bit-identical results to the
+  serial executor) and survives crashes, hangs and interrupts;
 - :mod:`repro.harness.cache` — content-addressed on-disk
   :class:`ResultCache` with model/schema-version invalidation;
 - :mod:`repro.harness.figures` — one planner per paper figure/table
@@ -19,7 +21,7 @@
   the paper's reference values, and automated shape checks drawn from
   the paper's artifact-description appendix;
 - :mod:`repro.harness.report` — ASCII/markdown rendering used by the
-  benchmark suite and EXPERIMENTS.md.
+  CLI and EXPERIMENTS.md.
 
 Scale: ``scale="quick"`` shrinks grids and repetitions for CI-speed runs;
 ``scale="full"`` uses the paper-like grids (see DESIGN.md §6 — op counts
@@ -32,7 +34,6 @@ from repro.harness.cache import CacheStats, ResultCache
 from repro.harness.executor import (
     ExecutionReport,
     Executor,
-    ParallelExecutor,
     PointTask,
     SerialExecutor,
     execute_plan,
@@ -68,7 +69,6 @@ __all__ = [
     "dedupe_plans",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "PointTask",
     "ExecutionReport",
     "execute_plan",

@@ -18,7 +18,7 @@ shortest-round-trip ``repr``), which is what lets a warm-cache figure
 build be byte-identical to a cold one.
 
 Hit/miss/invalidation counts accumulate in :class:`CacheStats` and are
-surfaced by the CLI, the executor's reports, and BENCH documents.
+surfaced by the CLI and the executor's reports.
 """
 
 from __future__ import annotations
@@ -70,16 +70,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, Union[int, float]]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidated": self.invalidated,
-            "stored": self.stored,
-            "corrupt_discarded": self.corrupt_discarded,
-            "hit_rate": self.hit_rate,
-        }
 
     def summary(self) -> str:
         corrupt = (

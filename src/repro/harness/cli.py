@@ -7,7 +7,6 @@ Usage::
     python -m repro.harness.cli all --markdown results.md
     python -m repro.harness.cli F1 --trace f1.json --metrics
     python -m repro.harness.cli F1 --timeline f1_timeline.csv
-    python -m repro.harness.cli all --bench BENCH_new.json
     python -m repro.harness.cli F1 --profile --profile-flame f1.folded
 
 ``--trace`` writes a Chrome trace-event file (open it at
@@ -15,11 +14,10 @@ https://ui.perfetto.dev or chrome://tracing); ``--metrics`` prints the
 per-layer instrument table and ``--metrics-json`` dumps it machine
 readably.  ``--timeline`` samples link utilisation / in-flight flows at
 a fixed sim-time interval and exports the series (``.csv`` long format,
-anything else JSON).  ``--bench`` records modelled results + host
-wall-clock per figure into a BENCH json for ``tools/bench_compare.py``.
-``--profile`` turns on simprof (the engine's self-profiler: events/sec,
-per-callback-site wall attribution, flow-network recompute stats,
-queue-depth peaks) and prints a hot-path table per figure;
+anything else JSON).  ``--profile`` turns on simprof (the engine's
+self-profiler: events/sec, per-callback-site wall attribution,
+flow-network recompute stats, queue-depth peaks) and prints a hot-path
+table per figure;
 ``--profile-json`` dumps the recorder state and ``--profile-flame``
 writes collapsed-stack lines for flamegraph.pl / speedscope.app.
 ``--ledger`` turns on the op ledger (per-op latency decomposition with
@@ -51,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -116,11 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--timeline-interval", type=float, default=0.02, metavar="SECONDS",
         help="sim-time sampling interval for --timeline (default: 0.02)",
-    )
-    parser.add_argument(
-        "--bench", metavar="PATH",
-        help="record modelled results + host wall-clock per figure into "
-             "a BENCH json (see tools/bench_compare.py)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -212,8 +206,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.point_timeout is not None and args.point_timeout <= 0:
-        parser.error(f"--point-timeout must be > 0, got {args.point_timeout}")
+    if args.point_timeout is not None and not (
+        math.isfinite(args.point_timeout) and args.point_timeout > 0
+    ):
+        parser.error(
+            f"--point-timeout must be a finite number > 0, got {args.point_timeout}"
+        )
+    if not (math.isfinite(args.retry_backoff) and args.retry_backoff >= 0):
+        parser.error(
+            f"--retry-backoff must be a finite number >= 0, got {args.retry_backoff}"
+        )
+    if not (math.isfinite(args.timeline_interval) and args.timeline_interval > 0):
+        parser.error(
+            f"--timeline-interval must be a finite number > 0, "
+            f"got {args.timeline_interval}"
+        )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
     if args.resume and not args.cache_dir:
@@ -245,12 +252,11 @@ def main(argv=None) -> int:
 
     profiling = (
         args.profile or bool(args.profile_json) or bool(args.profile_flame)
-        or bool(args.bench)
     )
     ledgering = args.ledger or bool(explains) or bool(args.ledger_json)
     observe = (
         bool(args.trace) or args.metrics or bool(args.metrics_json)
-        or bool(args.timeline) or bool(args.bench) or profiling or ledgering
+        or bool(args.timeline) or profiling or ledgering
     )
     timeline_cfg = (
         obs_mod.TimelineConfig(interval=args.timeline_interval)
@@ -303,18 +309,6 @@ def main(argv=None) -> int:
     series_doc = {}
     profiles = {}
     ledgers = {}
-    bench_doc = None
-    if args.bench:
-        from repro.harness.bench import BENCH_SCHEMA, figure_record, git_sha
-
-        bench_doc = {
-            "schema": BENCH_SCHEMA,
-            "git_sha": git_sha(),
-            "scale": args.scale,
-            "executor": {"jobs": executor.jobs},
-            "cache": None,  # cumulative stats filled in after the loop
-            "figures": {},
-        }
     failures = 0
     for fig_id in fig_ids:
         obs = (
@@ -386,16 +380,8 @@ def main(argv=None) -> int:
                 ledgers[fig_id] = obs.ledger
             if args.metrics_json:
                 metrics_doc[fig_id] = obs.registry.snapshot()
-            if bench_doc is not None:
-                events = int(obs.registry.counter("sim.events_executed").value)
-                bench_doc["figures"][fig_id] = figure_record(
-                    result, wall, events, execution=exec_report,
-                    profile=obs.profile,
-                )
     if cache is not None:
         print(f"cache: {cache.stats.summary()} -> {cache.root}")
-        if bench_doc is not None:
-            bench_doc["cache"] = cache.stats.as_dict()
     if args.trace:
         n = obs_mod.export_chrome_trace(args.trace, traced, ledgers=ledgers or None)
         print(f"{n} trace events written to {args.trace}")
@@ -420,11 +406,6 @@ def main(argv=None) -> int:
             json.dump(metrics_doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"metrics snapshot written to {args.metrics_json}")
-    if bench_doc is not None:
-        from repro.harness.bench import write_bench
-
-        write_bench(bench_doc, args.bench)
-        print(f"bench record written to {args.bench}")
     if args.series_json:
         with open(args.series_json, "w") as fh:
             json.dump(series_doc, fh, indent=1, sort_keys=True)

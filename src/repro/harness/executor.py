@@ -1,5 +1,10 @@
 """Executors: satisfy a plan's point demand, serially or in parallel.
 
+This module holds the executor protocol, the in-process
+:class:`SerialExecutor`, the worker-side entry point and the
+:func:`execute_plans` pipeline; the process-pool executor is
+:class:`repro.harness.resilience.ResilientParallelExecutor`.
+
 The contract every executor honours: **the modelled numbers are a pure
 function of the task list**.  Per-point seeds come from
 :func:`repro.harness.experiment.point_seed` (a stable content hash), so
@@ -26,7 +31,6 @@ simulations and can never leak into modelled results.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -58,7 +62,6 @@ __all__ = [
     "PointTask",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "ExecutionReport",
     "execute_plan",
     "execute_plans",
@@ -77,8 +80,8 @@ class PointTask:
 class Executor(Protocol):
     """Anything that can turn tasks into results, order-preserving."""
 
-    #: worker-process count (1 for in-process executors); recorded in
-    #: BENCH documents so wall-clock numbers are comparable
+    #: worker-process count (1 for in-process executors); reported in
+    #: the :class:`ExecutionReport` next to the batch wall time
     jobs: int
 
     def run_tasks(
@@ -150,69 +153,6 @@ def _run_task_observed(
     return result, obs.dump()
 
 
-class ParallelExecutor:
-    """Fan tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-    ``jobs`` worker processes execute points concurrently; results are
-    collected (and observability payloads absorbed) in submission
-    order, so output and merged telemetry are deterministic regardless
-    of completion order.
-    """
-
-    def __init__(self, jobs: int = 2):
-        if jobs < 1:
-            raise ConfigError(f"ParallelExecutor needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def run_tasks(
-        self,
-        tasks: Sequence[PointTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[Optional[PointResult]]:
-        if not tasks:
-            return []
-        parent_obs = obs_mod.current()
-        observe = parent_obs is not None
-        timeline = parent_obs.timeline_config if parent_obs is not None else None
-        profile = parent_obs is not None and parent_obs.profile is not None
-        ledger = parent_obs is not None and parent_obs.ledger is not None
-        n = len(tasks)
-        results: List[Optional[PointResult]] = [None] * n
-        payloads: List[Optional[Dict[str, Any]]] = [None] * n
-        done = [False] * n
-        absorb_upto = 0
-        with ProcessPoolExecutor(max_workers=min(self.jobs, n)) as pool:
-            futures: List["Future[Tuple[PointResult, Optional[Dict[str, Any]]]]"] = [
-                pool.submit(_run_task_observed, task, observe, timeline, profile, ledger)
-                for task in tasks
-            ]
-            index_of = {fut: i for i, fut in enumerate(futures)}
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # per-completion checkpointing (on_result fires the moment a
-                # result exists) — but payload absorption stays strictly in
-                # submission order so merged telemetry is deterministic
-                for fut in sorted(finished, key=index_of.__getitem__):
-                    i = index_of[fut]
-                    result, payload = fut.result()
-                    results[i] = result
-                    payloads[i] = payload
-                    done[i] = True
-                    if on_result is not None:
-                        on_result(tasks[i], result)
-                while absorb_upto < n and done[absorb_upto]:
-                    payload = payloads[absorb_upto]
-                    if payload is not None and parent_obs is not None:
-                        parent_obs.absorb(payload)
-                    payloads[absorb_upto] = None
-                    absorb_upto += 1
-        return results
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ParallelExecutor(jobs={self.jobs})"
-
-
 @dataclass
 class ExecutionReport:
     """What satisfying a batch of plans cost, and where the work went."""
@@ -233,23 +173,6 @@ class ExecutionReport:
     @property
     def deduped_points(self) -> int:
         return self.requested_points - self.unique_points
-
-    def as_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "jobs": self.jobs,
-            "requested_points": self.requested_points,
-            "planned_points": self.planned_points,
-            "unique_points": self.unique_points,
-            "deduped_points": self.deduped_points,
-            "executed_points": self.executed_points,
-            "wall_seconds": self.wall_seconds,
-            "retried": self.retried,
-            "timed_out": self.timed_out,
-            "quarantined": self.quarantined,
-            "resumed": self.resumed,
-        }
-        doc["cache"] = self.cache.as_dict() if self.cache is not None else None
-        return doc
 
     def summary(self) -> str:
         parts = [

@@ -290,8 +290,8 @@ def run_point(
     base_seed)`` — independent of process, executor, and run order.
     This function is picklable-by-reference (a plain module-level
     callable of picklable arguments), which is what lets
-    :class:`repro.harness.executor.ParallelExecutor` ship points to
-    worker processes unchanged.
+    :class:`repro.harness.resilience.ResilientParallelExecutor` ship
+    points to worker processes unchanged.
 
     ``obs`` optionally activates a :class:`repro.obs.Observability` for
     the duration (equivalent to wrapping the call in

@@ -18,8 +18,8 @@ makes figure runs parallelisable, deduplicatable, and incremental.
 
 Builders accept ``scale``:
 
-- ``"quick"`` — small grids, 2 repetitions (seconds per figure; used by
-  the benchmark suite's default run);
+- ``"quick"`` — small grids, 2 repetitions (seconds per figure; the
+  CLI default and the suite CI records in ``benchmarks/quick_series.json``);
 - ``"full"``  — paper-like grids, 3 repetitions.
 """
 
@@ -1044,9 +1044,9 @@ def plan_sc(scale: str = "quick") -> RunPlan:
     nodes stands for ``cohort`` identical nodes, so the x-axis sweeps
     10^2 -> 10^5 modelled clients (10^6 at full scale) while the event
     count stays per-batch, not per-client.  Bit-exactness of the
-    aggregation is proven at small N by ``tests/test_cohort.py``; the
-    BENCH harness tracks this figure's events/sec and recomputes as the
-    kernel-scalability regression gate (see the CI perf-smoke job).
+    aggregation is proven at small N by ``tests/test_cohort.py``; the CI
+    perf-smoke job gates this figure's events/sec as the
+    kernel-scalability regression floor.
     """
     g = _grids(scale)
     cohorts = [10, 100, 1000, 10000]

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import os
 import signal
 import threading
@@ -404,8 +405,8 @@ class _Pending:
 
 
 class ResilientParallelExecutor:
-    """A :class:`~repro.harness.executor.ParallelExecutor` that survives
-    worker crashes, hung points and interrupts.
+    """Fan tasks out over a process pool, surviving worker crashes,
+    hung points and interrupts.
 
     Satisfies the executor protocol (``results[i]`` corresponds to
     ``tasks[i]``); a slot is ``None`` only when that task exhausted its
@@ -426,8 +427,16 @@ class ResilientParallelExecutor:
             raise ConfigError(f"ResilientParallelExecutor needs jobs >= 1, got {jobs}")
         if max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-        if point_timeout is not None and point_timeout <= 0:
-            raise ConfigError(f"point_timeout must be > 0, got {point_timeout}")
+        if point_timeout is not None and not (
+            math.isfinite(point_timeout) and point_timeout > 0
+        ):
+            raise ConfigError(
+                f"point_timeout must be a finite number > 0, got {point_timeout}"
+            )
+        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
+            raise ConfigError(
+                f"retry_backoff must be a finite number >= 0, got {retry_backoff}"
+            )
         self.jobs = jobs
         self.point_timeout = point_timeout
         self.max_retries = max_retries

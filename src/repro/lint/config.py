@@ -6,7 +6,7 @@ narrow them::
 
     [tool.simlint]
     exclude = ["src/repro/vendored/*"]
-    wallclock_allow = ["harness/bench.py", "harness/cli.py"]
+    wallclock_allow = ["harness/cli.py", "harness/executor.py"]
 
     [tool.simlint.severity]
     SL006 = "warning"
@@ -32,7 +32,6 @@ __all__ = ["LintConfig", "load_config"]
 #: files allowed to read the wall clock (host-cost measurement only —
 #: never inside the model, where it would break determinism)
 DEFAULT_WALLCLOCK_ALLOW = (
-    "harness/bench.py",
     "harness/cli.py",
     # the executor times how long satisfying a plan took (host cost,
     # reported next to cache stats); the timing wraps around the

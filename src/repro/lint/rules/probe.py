@@ -4,7 +4,8 @@
 event executions.  A probe that schedules an event, starts or cancels a
 flow, or resizes a link changes the event calendar — modelled results
 would then differ with and without sampling attached, which is exactly
-the drift ``tools/bench_compare.py`` treats as a regression.
+the drift CI's ``cmp`` against ``benchmarks/quick_series.json`` treats
+as a regression.
 
 The rule finds every function registered as a probe (assignments to a
 ``.time_probe`` attribute anywhere in the linted tree, including

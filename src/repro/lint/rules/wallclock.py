@@ -3,8 +3,9 @@
 The simulator's clock is ``Simulator.now``; results must be a pure
 function of (configuration, seed).  Any ``time.time()`` or
 ``datetime.now()`` inside the model layers couples modelled output to
-the host, which breaks the bit-identical-reruns contract that
-``tools/bench_compare.py`` enforces.  Host-cost measurement is legal
+the host, which breaks the bit-identical-reruns contract that CI
+enforces by ``cmp``-ing the quick suite's series against
+``benchmarks/quick_series.json``.  Host-cost measurement is legal
 only in the allowlisted harness files (``wallclock_allow``).
 """
 

@@ -259,8 +259,8 @@ class Observability:
     def dump(self) -> Dict[str, Any]:
         """Complete picklable state for shipping to the parent process.
 
-        A :class:`ParallelExecutor <repro.harness.executor.ParallelExecutor>`
-        worker observes its points with a private Observability, dumps
+        A :class:`ResilientParallelExecutor
+        <repro.harness.resilience.ResilientParallelExecutor>` worker observes its points with a private Observability, dumps
         it, and the parent :meth:`absorb`\\ s the payload — so
         ``--trace``/``--metrics``/``--timeline`` see one merged view no
         matter how many processes ran the figure.  Call

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import IO, Dict, List, Optional, Sequence, Union
@@ -152,11 +153,12 @@ class TimelineSampler:
                  registry=None, run_index: int = 0):
         self.net = cluster.net
         self.config = config or TimelineConfig()
-        if self.config.interval <= 0:
+        if not (math.isfinite(self.config.interval) and self.config.interval > 0):
             from repro.errors import ConfigError
 
             raise ConfigError(
-                f"timeline interval must be positive, got {self.config.interval}"
+                f"timeline interval must be a finite number > 0, "
+                f"got {self.config.interval}"
             )
         self.registry = registry
         self.timeline = Timeline(run_index, self.config.interval)

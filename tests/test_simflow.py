@@ -148,7 +148,7 @@ def test_sl011_dynamic_call_degrades_to_warning(flow):
 def test_sl012_wallclock_into_model_fires(flow):
     findings = flow({
         "sim/core.py": SIM_CORE,
-        "harness/bench.py": """
+        "harness/cli.py": """
             import time
 
             from sim.core import Simulator
@@ -161,14 +161,14 @@ def test_sl012_wallclock_into_model_fires(flow):
     })
     sl012 = [f for f in findings if f.code == "SL012"]
     assert sl012
-    assert sl012[0].path == "harness/bench.py"
+    assert sl012[0].path == "harness/cli.py"
     assert "host-derived" in sl012[0].message
 
 
 def test_sl012_store_into_model_attr_fires(flow):
     findings = flow({
         "sim/core.py": SIM_CORE,
-        "harness/bench.py": """
+        "harness/cli.py": """
             import time
 
             from sim.core import Simulator
@@ -183,7 +183,7 @@ def test_sl012_store_into_model_attr_fires(flow):
 def test_sl012_wallclock_kept_in_harness_clean(flow):
     findings = flow({
         "sim/core.py": SIM_CORE,
-        "harness/bench.py": """
+        "harness/cli.py": """
             import time
 
             def wall():

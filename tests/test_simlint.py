@@ -60,7 +60,7 @@ def test_sl001_datetime_and_aliases(lint):
 
 def test_sl001_allowlist_and_sim_time_clean(lint):
     findings = lint({
-        "harness/bench.py": """
+        "harness/cli.py": """
             import time
 
             def wall():

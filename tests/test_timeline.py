@@ -49,6 +49,13 @@ def test_config_validation():
         TimelineSampler(cluster, TimelineConfig(interval=0.0))
 
 
+def test_config_rejects_nan_interval():
+    # NaN passes a plain "<= 0" check and would be exported as invalid JSON
+    cluster = observed_cluster(Observability())
+    with pytest.raises(ConfigError, match="finite number"):
+        TimelineSampler(cluster, TimelineConfig(interval=float("nan")))
+
+
 # -- exact sampling on a hand-built flow -----------------------------------------
 
 

@@ -18,16 +18,21 @@ reconstruct from any k surviving cells.  Holes read back as zeros.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.daos import erasure
 from repro.daos.container import Container
-from repro.daos.obj import DaosObject
+from repro.daos.obj import DaosObject, ring_batch
 from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.pool import Target
 from repro.errors import DataLossError, InvalidArgumentError, UnavailableError
 from repro.units import Bytes, MiB, zeros
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["DaosArray"]
 
@@ -304,49 +309,75 @@ class DaosArray(DaosObject):
                     )
         return (zeros(nbytes) if out is None else bytes(out)), charges
 
+    def served(self, kind: str) -> int:
+        # writes reach every member; reads one replica or the k data cells
+        if kind == "write":
+            return self.oc.group_width
+        return self.oc.ec_k if self.oc.is_ec else 1
+
+    def _member_share(self, nbytes: Bytes) -> float:
+        """Bytes one serving member takes of ``nbytes`` of bulk I/O."""
+        share = nbytes / self.n_groups
+        return share / self.oc.ec_k if self.oc.is_ec else share
+
     def bulk_charges(self, kind: str, nbytes: Bytes) -> Dict[Target, float]:
         """Analytic per-target byte charges for ``nbytes`` of sequential
         bulk I/O, amplification included.
 
         Equivalent to summing :meth:`write`/:meth:`read` charges over a
         long run of chunk-aligned ops (chunks rotate round-robin over the
-        groups), without touching the functional store — the aggregated
-        fast path used by the benchmark harness.
+        groups), without touching the functional store.  Raises the
+        per-op path's error when a group is exhausted:
+        ``UnavailableError`` for a write below quorum (no live member
+        for plain and replicated classes, fewer than k for EC) and
+        ``DataLossError`` for a read.  This per-object walk is the
+        reference for :meth:`ring_charges` and the only degraded-pool
+        path.
         """
         if kind not in ("write", "read"):
             raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
         charges: Dict[Target, float] = {}
         get = charges.get
-        share = nbytes / self.n_groups
+        amount = self._member_share(nbytes)
+        # writes reach every live member (dead ones are skipped, as in
+        # _store_chunk) once a group has quorum; reads take the first
+        # ``need`` live members
         oc = self.oc
-        if oc.is_ec:
-            k = oc.ec_k
-            cell = share / k
-            # writes reach every live member (dead ones are skipped, as
-            # in _store_chunk); reads take the first k live cells
-            limit = k if kind == "read" else oc.group_width
-            for group in self.groups:
-                served = 0
-                for member in group:
-                    if served >= limit:
-                        break
-                    if member.alive:
-                        charges[member] = get(member, 0.0) + cell
-                        served += 1
-        elif oc.is_replicated:
-            # writes reach every live replica, reads the first one
-            first_only = kind == "read"
-            for group in self.groups:
-                for member in group:
-                    if member.alive:
-                        charges[member] = get(member, 0.0) + share
-                        if first_only:
-                            break
-        else:
-            for group in self.groups:
-                member = group[0]
-                charges[member] = get(member, 0.0) + share
+        need = oc.ec_k if oc.is_ec else 1
+        limit = need if kind == "read" else oc.group_width
+        for gi, group in enumerate(self.groups):
+            live = [t for t in group if t.alive]
+            if len(live) < need:
+                if kind == "write":
+                    raise UnavailableError(f"group {gi} of {self.oid}: below write quorum")
+                raise DataLossError(f"group {gi} of {self.oid}: {len(live)} of {need} live")
+            for member in live[:limit]:
+                charges[member] = get(member, 0.0) + amount
         return charges
+
+    @staticmethod
+    def ring_charges(
+        arrays: Sequence["DaosArray"], kind: str, nbytes: Bytes
+    ) -> Optional[Tuple[NDArray[np.intp], NDArray[np.float64]]]:
+        """Every array's :meth:`bulk_charges` ``(kind, nbytes)``, as
+        (ring slot, amount) arrays concatenated in batch order, by index
+        arithmetic over the ring (:func:`ring_batch`).
+
+        A healthy ring slice has no repeated slot, so each object's
+        charges are its served slots in group/member order, each taking
+        the one amount ``bulk_charges`` computes.  None when
+        :func:`ring_batch` sends the batch to the per-object path.
+        """
+        if kind not in ("write", "read"):
+            raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
+        batch = ring_batch(arrays, kind) if arrays else None
+        if batch is None:
+            return None
+        slots, counts = batch
+        amounts = np.fromiter(
+            (arr._member_share(nbytes) for arr in arrays), dtype=np.float64, count=len(arrays)
+        )
+        return slots, np.repeat(amounts, counts)
 
     def truncate(self, new_size: Bytes) -> None:
         """Shrink (or extend with a hole) to ``new_size`` bytes."""

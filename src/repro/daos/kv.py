@@ -9,10 +9,12 @@ RP_2 rather than erasure-coding them, Section III-D).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.daos.container import Container
-from repro.daos.obj import DaosObject
+from repro.daos.obj import DaosObject, first_appearance, ring_batch
 from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.placement import jump_consistent_hash
@@ -25,6 +27,12 @@ from repro.errors import (
 )
 from repro.sim.randomness import stable_hash64
 from repro.units import Bytes
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
+    #: per-key loads as parallel (index, amount) arrays
+    Profile = Tuple[NDArray[np.intp], NDArray[np.float64]]
 
 __all__ = ["DaosKV", "MAX_KEY_LENGTH"]
 
@@ -144,15 +152,23 @@ class DaosKV(DaosObject):
         value, _ = self.get(key)
         return len(value)
 
+    def served(self, kind: str) -> int:
+        # puts reach every replica, gets one
+        return self.oc.group_width if kind == "put" else 1
+
     def bulk_op_loads(
         self, kind: str, n_ops: float, value_size: Bytes
     ) -> Tuple[Dict[Target, float], Dict]:
         """Analytic loads for ``n_ops`` puts/gets with uniformly hashed
         keys: per-target value bytes and per-engine request ops.
 
-        Puts hit every replica of a group; gets are served by one.  Used
+        Puts hit every live replica of a group; gets are served by one.
+        A fully down group raises what :meth:`put`/:meth:`get` raise:
+        ``UnavailableError`` for puts, ``DataLossError`` for gets.  Used
         by the benchmark harness to batch index traffic (Field I/O and
-        fdb-hammer average ~10 KV ops per field, paper Section III-B).
+        fdb-hammer average ~10 KV ops per field, paper Section III-B);
+        the reference for :meth:`ring_op_loads` and the only
+        degraded-pool path.
         """
         if kind not in ("put", "get"):
             raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")
@@ -162,12 +178,53 @@ class DaosKV(DaosObject):
         for group in self.groups:
             members = [t for t in group if t.alive]
             if not members:
-                raise UnavailableError("KV group fully down")
+                if kind == "put":
+                    raise UnavailableError("KV group fully down")
+                raise DataLossError("KV group fully down")
             serving = members if kind == "put" else members[:1]
             for target in serving:
                 charges[target] = charges.get(target, 0.0) + per_group * value_size
                 engine_ops[target.engine] = engine_ops.get(target.engine, 0.0) + per_group
         return charges, engine_ops
+
+    @staticmethod
+    def ring_op_loads(
+        loads: Sequence[Tuple["DaosKV", float]], kind: str, value_size: Bytes
+    ) -> Optional[Tuple[Profile, Profile]]:
+        """:meth:`bulk_op_loads` ``(kind, n_ops, value_size)`` of every
+        ``(kv, n_ops)`` in ``loads``, by index arithmetic over the ring
+        (:func:`ring_batch`): (ring slot, bytes) and (engine index, ops)
+        arrays, each concatenated in batch order.
+
+        A healthy ring slice repeats no slot, so a KV's target loads are
+        its served slots in group/member order, each ``per_group *
+        value_size``.  Its engine ops are one entry per engine, in
+        first-appearance order, holding the fold ``((0.0 + per_group) +
+        per_group) ...`` over that engine's serving targets: a row of
+        ``np.cumsum``, never ``count * per_group``.  None when
+        :func:`ring_batch` sends the batch to the per-object path.
+        """
+        if kind not in ("put", "get"):
+            raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")
+        kvs = [kv for kv, _ in loads]
+        batch = ring_batch(kvs, kind) if kvs else None
+        if batch is None:
+            return None
+        slots, counts = batch
+        pool = kvs[0].container.pool
+        per_group = np.fromiter(
+            (n_ops / kv.n_groups for kv, n_ops in loads), dtype=np.float64, count=len(kvs)
+        )
+        n_eng = len(pool.engines)
+        rows = np.repeat(np.arange(len(kvs), dtype=np.intp), counts)
+        keys = rows * n_eng + pool.slot_engine[slots]
+        # one entry per (kv, engine) pair, in row-major first appearance
+        uniq = first_appearance(keys)
+        hits = np.bincount(keys)[uniq]
+        values, value_of_row = np.unique(per_group, return_inverse=True)
+        folds = np.cumsum(np.broadcast_to(values[:, None], (len(values), hits.max())), axis=1)
+        engine_ops = folds[value_of_row[uniq // n_eng], hits - 1]
+        return (slots, np.repeat(per_group * value_size, counts)), (uniq % n_eng, engine_ops)
 
     def wipe(self) -> None:
         for gi, group in enumerate(self.groups):

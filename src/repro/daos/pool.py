@@ -10,7 +10,9 @@ metadata through it (the HDF5 DAOS adaptor).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.daos.params import DaosParams
 from repro.errors import ConfigError, NotFoundError
@@ -18,6 +20,9 @@ from repro.daos.placement import interleave_ring
 from repro.hardware.cluster import Cluster, ServerNode
 from repro.hardware.ssd import SsdDevice
 from repro.sim.flownet import Link
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["Target", "Engine", "Pool"]
 
@@ -114,6 +119,10 @@ class Pool:
             target.global_index = idx
         #: the ring twice over, so a window that wraps is one slice
         self._ring2: List[Target] = self.ring + self.ring
+        #: per ring slot, the index of the engine serving it
+        self.slot_engine: NDArray[np.intp] = np.array(
+            [t.engine.index for t in self.ring], dtype=np.intp
+        )
         #: pool service (RSVC): fixed capacity regardless of pool size
         self.rsvc_link: Link = cluster.net.add_link(
             f"{label}.rsvc", self.params.pool_service_capacity
@@ -121,7 +130,7 @@ class Pool:
         self._containers: Dict[str, "Container"] = {}
         self._next_container_id = 0
         #: bumped on every pool-map change (target fail/restore, rebuild
-        #: shard relocation) so layout-dependent caches can invalidate
+        #: shard relocation)
         self.map_version = 0
 
     # -- topology ------------------------------------------------------------
@@ -135,6 +144,12 @@ class Pool:
 
     def alive_targets(self) -> List[Target]:
         return [t for t in self.ring if t.alive]
+
+    def alive_mask(self) -> NDArray[np.bool_]:
+        """Per ring slot, whether its target is up.  Read from the
+        targets themselves, so a target failed without a pool-map bump
+        counts as down too."""
+        return np.fromiter((t.alive for t in self.ring), dtype=bool, count=len(self.ring))
 
     def ring_groups(self, start: int, n_groups: int, width: int) -> List[List[Target]]:
         """``n_groups`` consecutive windows of ``width`` ring targets from

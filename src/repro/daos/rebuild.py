@@ -168,7 +168,7 @@ def run_rebuild(pool: Pool, failed: Target, bandwidth_share: float = 0.25) -> Ge
         except DataLossError:
             report.objects_lost.append(str(obj.oid))
             continue
-        group[mi] = dest  # the pool map now points at the replacement
+        obj.relocate(gi, mi, dest)  # the pool map now points at the replacement
         pool.map_version += 1
         report.shards_rebuilt += 1
         report.bytes_moved += written

@@ -59,7 +59,7 @@ __all__ = [
 #: change alters modelled numbers (seeding scheme, flow-network rates,
 #: overhead constants, ...) so the on-disk result cache invalidates
 #: stale entries instead of serving results from an older model.
-MODEL_VERSION = "3"
+MODEL_VERSION = "4"
 
 _STORES = ("daos", "lustre", "ceph")
 _WORKLOADS = ("ior", "fieldio", "fdb", "rawio")

@@ -10,7 +10,7 @@ provides the aggregate fast path for the figure harness.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.fdb.daos_backend import FdbDaosBackend
@@ -21,7 +21,7 @@ from repro.fdb.schema import key_sequence
 from repro.sim.stats import PhaseRecorder
 from repro.units import Bytes, MiB
 from repro.workloads.common import CephEnv, DaosEnv, LustreEnv, PhasedRunner, WorkloadConfig
-from repro.workloads.ior import engine_request_ops, uniform_target_charges
+from repro.workloads.ior import engine_request_ops, merge_kv_loads, uniform_target_charges
 from repro.workloads.mpi import Rank
 
 __all__ = ["FDB_BACKENDS", "run_fdb_hammer"]
@@ -101,25 +101,20 @@ class _FdbDaosRunner(_FdbRunnerBase):
         data_bytes = ops * n_ranks * cfg.op_size * amp
         charges = uniform_target_charges(self.env.pool, data_bytes)
         req = engine_request_ops(charges, ops * n_ranks)
-
-        def merge(loads: Any) -> None:
-            c, e = loads
-            for t, nb in c.items():
-                charges[t] = charges.get(t, 0.0) + nb
-            for eng, n in e.items():
-                req[eng] = req.get(eng, 0.0) + n
-
-        kv_kind = "put" if phase == "write" else "get"
         B = FdbDaosBackend
         if phase == "write":
-            root_ops, cat_ops, idx_ops = B.ROOT_PUTS, B.CATALOGUE_PUTS, B.INDEX_PUTS
+            kv_kind, root_ops, cat_ops, idx_ops = "put", B.ROOT_PUTS, B.CATALOGUE_PUTS, B.INDEX_PUTS
         else:
-            root_ops, cat_ops, idx_ops = B.ROOT_GETS, B.CATALOGUE_GETS, B.INDEX_GETS
+            kv_kind, root_ops, cat_ops, idx_ops = "get", B.ROOT_GETS, B.CATALOGUE_GETS, B.INDEX_GETS
+        loads: List[Tuple[Any, float]] = []
         for state in states:
             backend: FdbDaosBackend = state["fdb"].backend
-            merge(backend.root_kv.bulk_op_loads(kv_kind, ops * root_ops, KV_VALUE_SIZE))
-            merge(backend.catalogue_kv.bulk_op_loads(kv_kind, ops * cat_ops, KV_VALUE_SIZE))
-            merge(backend.index_kv.bulk_op_loads(kv_kind, ops * idx_ops, KV_VALUE_SIZE))
+            loads += [
+                (backend.root_kv, ops * root_ops),
+                (backend.catalogue_kv, ops * cat_ops),
+                (backend.index_kv, ops * idx_ops),
+            ]
+        charges, req = merge_kv_loads(self.env.pool, charges, req, loads, kv_kind, KV_VALUE_SIZE)
         if phase == "write":
             home = states[0]["fdb"].backend.container.home_engine
             req[home] = req.get(home, 0.0) + ops * n_ranks  # array creates

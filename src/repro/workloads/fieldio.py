@@ -16,13 +16,13 @@ operation**, which fdb-hammer avoids.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.daos.pool import Target
 from repro.errors import ConfigError, NotFoundError
 from repro.sim.stats import PhaseRecorder
 from repro.workloads.common import DaosEnv, PhasedRunner, WorkloadConfig
-from repro.workloads.ior import engine_request_ops, uniform_target_charges
+from repro.workloads.ior import engine_request_ops, merge_kv_loads, uniform_target_charges
 from repro.workloads.mpi import Rank
 
 __all__ = ["run_fieldio", "FieldIoRunner", "SHARED_KV_OPS", "EXCLUSIVE_KV_OPS"]
@@ -125,18 +125,12 @@ class FieldIoRunner(PhasedRunner):
         # S1 field arrays hash uniformly over targets
         charges: Dict[Target, float] = uniform_target_charges(self.env.pool, data_bytes)
         req = engine_request_ops(charges, ops * n_ranks)
-        kv_kind = "put" if phase == "write" else "get"
-        def merge(loads: Any) -> None:
-            c, e = loads
-            for t, nb in c.items():
-                charges[t] = charges.get(t, 0.0) + nb
-            for eng, n in e.items():
-                req[eng] = req.get(eng, 0.0) + n
-
+        loads: List[Tuple[Any, float]] = []
         for state in states:
-            for kv in state["shared"]:
-                merge(kv.bulk_op_loads(kv_kind, ops, KV_VALUE_SIZE))
-            merge(state["index"].bulk_op_loads(kv_kind, ops * EXCLUSIVE_KV_OPS, KV_VALUE_SIZE))
+            loads += [(kv, ops) for kv in state["shared"]]
+            loads.append((state["index"], ops * EXCLUSIVE_KV_OPS))
+        kv_kind = "put" if phase == "write" else "get"
+        charges, req = merge_kv_loads(self.env.pool, charges, req, loads, kv_kind, KV_VALUE_SIZE)
         if phase == "write":
             # per-field array create on the container's home engine
             home = states[0]["cont"].home_engine

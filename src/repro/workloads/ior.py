@@ -21,11 +21,14 @@ Supported APIs (the series of Figs. 1-6):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ceph.rados import CephPool
+from repro.daos.array import DaosArray
+from repro.daos.kv import DaosKV
+from repro.daos.obj import first_appearance
 from repro.daos.pool import Pool, Target
 from repro.errors import ConfigError, NotFoundError
 from repro.hdf5.daos_vol import Hdf5DaosVol, Hdf5VolParams
@@ -68,13 +71,22 @@ def charge_profile(charges: Dict[Target, float]) -> ChargeProfile:
     return idx, np.fromiter(charges.values(), dtype=np.float64, count=len(charges))
 
 
+def engine_profile(ops: Dict[Any, float]) -> ChargeProfile:
+    """A per-engine op dict as parallel (engine index, ops) arrays, in
+    the dict's order."""
+    idx = np.fromiter((e.index for e in ops), dtype=np.intp, count=len(ops))
+    return idx, np.fromiter(ops.values(), dtype=np.float64, count=len(ops))
+
+
 def merge_charges(
-    ring: Sequence[Target],
+    keys: Sequence[Any],
     profiles: Sequence[ChargeProfile],
     scale: float = 1.0,
-) -> Dict[Target, float]:
+) -> Dict[Any, float]:
     """Sum :func:`charge_profile` arrays, each amount times ``scale``,
-    into one per-target charge dict (``ring`` maps indices to targets).
+    into one per-target charge dict.  ``keys`` maps indices to dict
+    keys: the pool ring for :func:`charge_profile` arrays, the pool's
+    engines for :func:`engine_profile` arrays.
 
     Bit-identical to the dict fold ``charges[t] = charges.get(t, 0.0) +
     a * scale`` over the profiles in turn: ``np.bincount`` adds each
@@ -87,9 +99,53 @@ def merge_charges(
         return {}
     idx = np.concatenate([p[0] for p in profiles])
     sums = np.bincount(idx, weights=np.concatenate([p[1] for p in profiles]) * scale)
-    _, first = np.unique(idx, return_index=True)
-    order = idx[np.sort(first)]
-    return dict(zip([ring[i] for i in order.tolist()], sums[order].tolist()))
+    order = first_appearance(idx)
+    return dict(zip([keys[i] for i in order.tolist()], sums[order].tolist()))
+
+
+def array_charges(
+    pool: Pool, arrays: Sequence[Any], kind: str, nbytes: int, scale: float = 1.0
+) -> Dict[Target, float]:
+    """The arrays' ``bulk_charges(kind, nbytes)``, each amount times
+    ``scale``, merged in batch order: ring arithmetic on a healthy
+    layout (:meth:`DaosArray.ring_charges`), the per-object walk
+    otherwise."""
+    rotated = DaosArray.ring_charges(arrays, kind, nbytes)
+    if rotated is not None:
+        return merge_charges(pool.ring, [rotated], scale)
+    return merge_charges(
+        pool.ring, [charge_profile(arr.bulk_charges(kind, nbytes)) for arr in arrays], scale
+    )
+
+
+def merge_kv_loads(
+    pool: Pool,
+    charges: Dict[Target, float],
+    req: Dict[Any, float],
+    loads: Sequence[Tuple[Any, float]],
+    kind: str,
+    value_size: int,
+) -> Tuple[Dict[Target, float], Dict[Any, float]]:
+    """``charges`` and ``req`` plus ``kv.bulk_op_loads(kind, n_ops,
+    value_size)`` of every ``(kv, n_ops)`` in ``loads``, added in turn.
+
+    Bit-identical to the dict folds ``charges[t] = charges.get(t, 0.0)
+    + nb`` and ``req[e] = req.get(e, 0.0) + n`` over the loads, key
+    order included, with one ``bincount`` per dict: ring arithmetic on
+    a healthy layout (:meth:`DaosKV.ring_op_loads`), the per-object
+    walk otherwise.
+    """
+    rotated = DaosKV.ring_op_loads(loads, kind, value_size)
+    if rotated is not None:
+        targets, engines = [rotated[0]], [rotated[1]]
+    else:
+        per_kv = [kv.bulk_op_loads(kind, n_ops, value_size) for kv, n_ops in loads]
+        targets = [charge_profile(c) for c, _ in per_kv]
+        engines = [engine_profile(e) for _, e in per_kv]
+    return (
+        merge_charges(pool.ring, [charge_profile(charges)] + targets),
+        merge_charges(pool.engines, [engine_profile(req)] + engines),
+    )
 
 
 def engine_request_ops(charges: Dict[Target, float], total_ops: float) -> Dict[Any, float]:
@@ -127,10 +183,6 @@ class _DaosIor(_IorRunner):
 
     def __init__(self, env: Any, cfg: WorkloadConfig, recorder: Any = None) -> None:
         super().__init__(env, cfg, recorder)
-        # per-(array, kind) unit charge profiles as (ring index, amount)
-        # arrays; bulk_charges is linear in nbytes, so each profile is
-        # computed once and scaled per batch
-        self._unit_charges: Dict[Any, ChargeProfile] = {}
         #: per-state segment base offset (shared-file mode)
         self._base: Dict[int, int] = {}
         self._shared_array: Any = None
@@ -194,19 +246,9 @@ class _DaosIor(_IorRunner):
 
     def _charges(self, states: Any, phase: str, ops: int) -> Dict[Target, float]:
         kind = "write" if phase == "write" else "read"
-        nbytes = float(ops * self.cfg.op_size)
-        profiles: List[ChargeProfile] = []
-        for state in states:
-            arr = self._array_of(state)
-            # keyed on the pool-map version so fault injection / rebuild
-            # relayouts invalidate the cached profile
-            key = (id(arr), kind, arr.container.pool.map_version)
-            unit = self._unit_charges.get(key)
-            if unit is None:
-                unit = charge_profile(arr.bulk_charges(kind, 1))
-                self._unit_charges[key] = unit
-            profiles.append(unit)
-        return merge_charges(self.env.pool.ring, profiles, nbytes)
+        # bulk_charges is linear in nbytes: unit charges, scaled per batch
+        arrays = [self._array_of(state) for state in states]
+        return array_charges(self.env.pool, arrays, kind, 1, float(ops * self.cfg.op_size))
 
     def batch_flow(self, node: Any, states: Any, phase: str, ops: int) -> Generator[Any, Any, None]:
         kind = "write" if phase == "write" else "read"
@@ -467,11 +509,8 @@ class _Hdf5PosixIor(_IorRunner):
         md_per_op = self.h5.md_writes_per_op if phase == "write" else self.h5.md_reads_per_op
         data_bytes = ops * cfg.op_size
         md_bytes = ops * md_per_op * self.h5.md_io_size
-        profiles = [
-            charge_profile(h5file.handle.array.bulk_charges(kind, int(data_bytes + md_bytes)))
-            for h5file in states
-        ]
-        charges = merge_charges(self.env.pool.ring, profiles)
+        arrays = [h5file.handle.array for h5file in states]
+        charges = array_charges(self.env.pool, arrays, kind, int(data_bytes + md_bytes))
         total_ops = ops * len(states) * (1 + md_per_op)
         req = engine_request_ops(charges, total_ops)
         fuse = self.env.dfuse(node)

@@ -1,14 +1,19 @@
 """The aggregate DAOS charge path: ring-slice layouts, bulk charges, merge.
 
-Aggregate IOR prices a batch of ranks from per-array *unit* charge
-profiles (``DaosArray.bulk_charges``) merged with one ``np.bincount``
-(``repro.workloads.ior.merge_charges``).  These tests pin each piece to
+Aggregate IOR prices a batch of ranks from per-array *unit* charges,
+rotated from one canonical profile per class on a healthy layout
+(``DaosArray.ring_charges``) and merged with one ``np.bincount``
+(``repro.workloads.ior.merge_charges``); Field I/O and fdb-hammer do the
+same for KV loads (``merge_kv_loads``).  These tests pin each piece to
 the slow, obvious formulation it replaces:
 
 - layouts equal the ring slots :func:`place_groups` picks, as private lists;
 - ``bulk_charges`` equals the summed per-chunk ``write()``/``read()``
-  charges of the functional store, dead targets included;
-- the merge equals the per-target dict fold bit for bit, key order too.
+  charges of the functional store, dead targets included, and raises
+  the per-op error when a group is exhausted;
+- the rotation equals the per-object ``bulk_charges``/``bulk_op_loads``
+  walk, and the merge the per-target dict fold, bit for bit, key order
+  too.
 """
 
 from __future__ import annotations
@@ -17,13 +22,25 @@ from typing import Dict, List
 
 import pytest
 
+from repro.daos.array import DaosArray
+from repro.daos.kv import DaosKV
 from repro.daos.placement import place_groups
 from repro.daos.pool import Pool, Target
 from repro.daos.rebuild import run_rebuild
+from repro.errors import DataLossError, UnavailableError
 from repro.hardware.cluster import Cluster
 from repro.units import KiB
 from repro.workloads.common import DaosEnv, WorkloadConfig
-from repro.workloads.ior import _DaosIor, charge_profile, merge_charges
+from repro.workloads.ior import (
+    _DaosIor,
+    array_charges,
+    charge_profile,
+    engine_request_ops,
+    merge_charges,
+    merge_kv_loads,
+    run_ior,
+    uniform_target_charges,
+)
 
 CLASSES = ("S1", "SX", "RP_2G1", "RP_2GX", "EC_2P1G1", "EC_2P1GX")
 PROTECTED = ("RP_2G1", "RP_2GX", "EC_2P1G1", "EC_2P1GX")
@@ -110,12 +127,12 @@ def test_bulk_charges_skip_dead_targets(oc):
 # the batch merge against the dict fold it replaced
 
 
-def _fold(arrays, kind: str, nbytes: int) -> Dict[Target, float]:
+def _fold(arrays, kind: str, nbytes, scale) -> Dict[Target, float]:
     """The per-target dict fold the bincount merge replaces."""
     charges: Dict[Target, float] = {}
     for arr in arrays:
-        for target, nb in arr.bulk_charges(kind, 1).items():
-            charges[target] = charges.get(target, 0.0) + nb * nbytes
+        for target, nb in arr.bulk_charges(kind, nbytes).items():
+            charges[target] = charges.get(target, 0.0) + nb * scale
     return charges
 
 
@@ -140,7 +157,7 @@ def _check_merge(runner, env, arrays, op_size, ops: int = 3) -> None:
     states = [(client, arr) for arr in arrays]
     for phase in ("write", "read"):
         got = runner._charges(states, phase, ops)
-        _assert_bitwise(got, _fold(arrays, phase, ops * op_size))
+        _assert_bitwise(got, _fold(arrays, phase, 1, ops * op_size))
 
 
 def test_merge_one_state_batch():
@@ -151,8 +168,11 @@ def test_merge_one_state_batch():
 def test_merge_mixed_class_batch():
     runner, env, cont, op_size = _runner()
     arrays = [cont.new_array(oc, chunk_size=CHUNK) for oc in CLASSES for _ in range(5)]
+    for batch in (arrays, arrays[::-1], arrays[1::2] + arrays[::2]):
+        assert DaosArray.ring_charges(batch, "write", 1) is not None  # the rotation runs
     _check_merge(runner, env, arrays, op_size)
     _check_merge(runner, env, arrays[::-1], op_size, ops=7)
+    _check_merge(runner, env, arrays[1::2] + arrays[::2], op_size, ops=5)
 
 
 def test_merge_after_rebuild_target_in_two_groups():
@@ -167,6 +187,11 @@ def test_merge_after_rebuild_target_in_two_groups():
     assert proc.result.fully_recovered
     members = [t for g in arrays[0].groups for t in g]
     assert len(members) > len(set(members))  # the replacement joined a second group
+    assert arrays[0].relaid
+    assert DaosArray.ring_charges(arrays, "write", 1) is None  # per-object path
+    _check_merge(runner, env, arrays, op_size)
+    pool.restore_target(victim.global_index)
+    assert DaosArray.ring_charges(arrays, "write", 1) is None  # still relaid
     _check_merge(runner, env, arrays, op_size)
 
 
@@ -183,3 +208,175 @@ def test_merge_charges_unscaled_matches_fold():
     _assert_bitwise(merge_charges(pool.ring, [charge_profile(p) for p in parts]), want)
     assert merge_charges(pool.ring, []) == {}
     assert merge_charges(pool.ring, [charge_profile({})]) == {}
+
+
+# ---------------------------------------------------------------------------
+# rotated canonical profiles against the per-object walk
+
+
+def _walk_profile(arrays, kind: str, nbytes):
+    """The per-object ``bulk_charges`` profiles, concatenated."""
+    parts = [charge_profile(arr.bulk_charges(kind, nbytes)) for arr in arrays]
+    return [i for p in parts for i in p[0].tolist()], [a for p in parts for a in p[1].tolist()]
+
+
+@pytest.mark.parametrize("n_servers", [1, 4, 16])
+@pytest.mark.parametrize("oc", CLASSES)
+@pytest.mark.parametrize("kind", ["write", "read"])
+@pytest.mark.parametrize("nbytes", [1, 3 * 1048573 + 11])
+def test_rotation_equals_per_object_walk(n_servers, oc, kind, nbytes):
+    """Unit (IOR) and non-unit (HDF5) amounts, every class and pool size."""
+    pool = _pool(n_servers)
+    cont = pool.create_container("rot", materialize=False)
+    arrays = [cont.new_array(oc, chunk_size=CHUNK) for _ in range(7)]
+    arrays.append(arrays[2])  # a shared-file batch repeats its array
+    slots, amounts = DaosArray.ring_charges(arrays, kind, nbytes)
+    want_idx, want_amounts = _walk_profile(arrays, kind, nbytes)
+    assert slots.tolist() == want_idx
+    assert [a.hex() for a in amounts.tolist()] == [a.hex() for a in want_amounts]
+    scale = float(3 * 1048573) if nbytes == 1 else 1.0
+    want = _fold(arrays, kind, nbytes, scale)
+    _assert_bitwise(array_charges(pool, arrays, kind, nbytes, scale), want)
+
+
+def test_dead_target_sends_only_its_batches_to_the_walk():
+    pool = _pool(4)
+    cont = pool.create_container("dead", materialize=False)
+    arrays = [cont.new_array("S1", chunk_size=CHUNK) for _ in range(12)]
+    wide = [cont.new_array("RP_2GX", chunk_size=CHUNK) for _ in range(3)]
+    used = {arr.groups[0][0] for arr in arrays}
+    spare = next(t for t in pool.ring if t not in used)
+    spare.fail()  # behind the pool map's back: liveness is read from targets
+    assert pool.map_version == 0
+    assert DaosArray.ring_charges(arrays, "read", 1) is not None
+    assert DaosArray.ring_charges(wide, "write", 1) is None  # writes reach every member
+    for batch in (arrays, wide, arrays + wide):
+        for kind in ("write", "read"):
+            want = _fold(batch, kind, 1, 1048573.0)
+            _assert_bitwise(array_charges(pool, batch, kind, 1, 1048573.0), want)
+            assert spare not in want
+
+
+def test_aggregate_ior_on_healthy_pool_never_builds_group_lists(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Pool.ring_groups called")
+
+    monkeypatch.setattr(Pool, "ring_groups", forbidden)
+    for oc in ("SX", "RP_2GX", "EC_2P1GX"):
+        env = DaosEnv(Cluster(n_servers=4, n_clients=2, seed=0))
+        cfg = WorkloadConfig(n_client_nodes=2, ppn=2, ops_per_process=4, object_class=oc)
+        rec = run_ior(env, cfg, "DAOS")
+        assert rec.get("write").bytes == rec.get("read").bytes == 2 * 2 * 4 * cfg.op_size
+
+
+# ---------------------------------------------------------------------------
+# exhausted groups: the aggregate path raises the per-op error
+
+
+def _kill(pool: Pool, targets) -> None:
+    for t in targets:
+        pool.fail_target(t.global_index)
+
+
+#: (class, members of group 0 lost): every way to exhaust a group
+EXHAUSTED = [("S1", 1), ("SX", 1), ("RP_2G1", 2), ("RP_2GX", 2),
+             ("EC_2P1G1", 2), ("EC_2P1GX", 2), ("EC_2P1G1", 3), ("EC_2P1GX", 3)]
+
+
+@pytest.mark.parametrize("oc,lost", EXHAUSTED)
+def test_exhausted_group_raises_per_op_error(oc, lost):
+    """Writes below quorum raise UnavailableError and reads without
+    enough live members raise DataLossError, in bulk_charges exactly as
+    in write()/read()."""
+    pool = _pool(4)
+    cont = pool.create_container("lost", materialize=False)
+    arr = cont.new_array(oc, chunk_size=CHUNK)
+    arr.write(0, nbytes=CHUNK)  # chunk 0 lives in group 0
+    _kill(pool, arr.groups[0][:lost])
+    errors = {"write": UnavailableError, "read": DataLossError}
+    per_op = {"write": lambda: arr.write(0, nbytes=CHUNK), "read": lambda: arr.read(0, CHUNK)}
+    for kind, error in errors.items():
+        with pytest.raises(error):
+            per_op[kind]()
+        with pytest.raises(error):
+            arr.bulk_charges(kind, CHUNK)
+        assert DaosArray.ring_charges([arr], kind, 1) is None
+        with pytest.raises(error):
+            array_charges(pool, [arr], kind, 1)
+
+
+@pytest.mark.parametrize("oc", ["S1", "SX", "RP_2GX"])
+def test_kv_exhausted_group_raises_per_op_error(oc):
+    pool = _pool(4)
+    cont = pool.create_container("kvlost", materialize=False)
+    kv = cont.new_kv(oc)
+    kv.put("k", b"v")
+    group = kv.groups[kv._group_for("k")]
+    _kill(pool, group)
+    with pytest.raises(DataLossError):
+        kv.get("k")
+    with pytest.raises(DataLossError):
+        kv.bulk_op_loads("get", 10, 24)
+    with pytest.raises(UnavailableError):
+        kv.put("k", b"v")
+    with pytest.raises(UnavailableError):
+        kv.bulk_op_loads("put", 10, 24)
+
+
+# ---------------------------------------------------------------------------
+# KV loads: the shared helper against the Field I/O / fdb-hammer dict fold
+
+
+def _kv_fold(pool: Pool, charges, req, loads, kind: str, value_size):
+    """The per-KV dict fold Field I/O and fdb-hammer used to run."""
+    charges, req = dict(charges), dict(req)
+    for kv, n_ops in loads:
+        c, e = kv.bulk_op_loads(kind, n_ops, value_size)
+        for t, nb in c.items():
+            charges[t] = charges.get(t, 0.0) + nb
+        for eng, n in e.items():
+            req[eng] = req.get(eng, 0.0) + n
+    return charges, req
+
+
+def _kv_batch(n_servers: int, classes):
+    pool = _pool(n_servers)
+    cont = pool.create_container("kvs", materialize=False)
+    kvs = [cont.new_kv(oc) for oc in classes for _ in range(4)]
+    # Field I/O: 3 shared KVs at ``ops``, an index KV at 7 * ops; 5 / n
+    # is not dyadic, so an engine's fold differs from count * per_group
+    loads = [(kv, 5 if i % 4 else 35) for i, kv in enumerate(kvs)]
+    charges = uniform_target_charges(pool, 5 * 1048573.0)
+    return pool, loads, charges, engine_request_ops(charges, 12)
+
+
+def _check_kv(pool, loads, charges, req, kind: str, value_size) -> None:
+    got_c, got_e = merge_kv_loads(pool, charges, req, loads, kind, value_size)
+    want_c, want_e = _kv_fold(pool, charges, req, loads, kind, value_size)
+    _assert_bitwise(got_c, want_c)
+    _assert_bitwise(got_e, want_e)
+
+
+@pytest.mark.parametrize("n_servers", [1, 3, 4, 16])
+@pytest.mark.parametrize("classes", [("S1",), ("SX",), ("RP_2GX",), ("S1", "SX", "RP_2GX")])
+@pytest.mark.parametrize("kind", ["put", "get"])
+def test_kv_rotation_equals_dict_fold(n_servers, classes, kind):
+    pool, loads, charges, req = _kv_batch(n_servers, classes)
+    assert DaosKV.ring_op_loads(loads, kind, 192) is not None  # the rotation runs
+    for batch in (loads, loads[::-1]):
+        _check_kv(pool, batch, charges, req, kind, 192)
+        _check_kv(pool, batch, {}, {}, kind, 24)  # every key new: first appearance
+
+
+def test_kv_dead_target_takes_the_walk():
+    pool, loads, charges, req = _kv_batch(4, ("RP_2GX", "SX"))
+    victim = loads[0][0].groups[0][1]
+    pool.fail_target(victim.global_index)
+    charges = uniform_target_charges(pool, 5 * 1048573.0)
+    req = engine_request_ops(charges, 12)
+    rp_only = loads[:4]
+    # a put reaches the dead second replica; a get is served by the first
+    assert DaosKV.ring_op_loads(rp_only, "put", 192) is None
+    assert DaosKV.ring_op_loads(rp_only, "get", 192) is not None
+    for kind in ("put", "get"):
+        _check_kv(pool, rp_only, charges, req, kind, 192)

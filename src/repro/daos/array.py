@@ -18,7 +18,7 @@ reconstruct from any k surviving cells.  Holes read back as zeros.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.daos.obj import DaosObject, ring_batch
 from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.pool import Target
-from repro.errors import DataLossError, InvalidArgumentError, UnavailableError
+from repro.errors import DataLossError, InvalidArgumentError
 from repro.units import Bytes, MiB, zeros
 
 if TYPE_CHECKING:
@@ -90,33 +90,22 @@ class DaosArray(DaosObject):
         if extent is None:
             return None
         gi = self._group_of_chunk(chunk_idx)
-        buf = bytearray(self.chunk_size)
         group = self.groups[gi]
+        held: Dict[int, bytes] = {}
+        for member in self.live_members(group, "chunk %d", chunk_idx):
+            shard = group[member].array_shards.get(self.shard_key(gi, member))
+            if shard is not None and chunk_idx in shard:
+                held[member] = shard[chunk_idx]
+        buf = bytearray(self.chunk_size)
         if self.oc.is_ec:
-            k, p = self.oc.ec_k, self.oc.ec_p
-            cells: Dict[int, bytes] = {}
-            for member, target in enumerate(group):
-                if not target.alive:
-                    continue
-                shard = target.array_shards.get(self.shard_key(gi, member))
-                if shard is not None and chunk_idx in shard:
-                    cells[member] = shard[chunk_idx]
-            data_cells = self._resolve_cells(cells, k, p, chunk_idx)
+            data_cells = self._resolve_cells(held, self.oc.ec_k, self.oc.ec_p, chunk_idx)
             for j, cell in enumerate(data_cells):
                 buf[j * self.cell_size : j * self.cell_size + len(cell)] = cell
+        elif held:
+            data = next(iter(held.values()))  # the first live replica holding it
+            buf[: len(data)] = data
         else:
-            for member, target in enumerate(group):
-                if not target.alive:
-                    continue
-                shard = target.array_shards.get(self.shard_key(gi, member))
-                if shard is not None and chunk_idx in shard:
-                    data = shard[chunk_idx]
-                    buf[: len(data)] = data
-                    break
-            else:
-                raise DataLossError(
-                    f"chunk {chunk_idx} of {self.oid}: no live replica"
-                )
+            raise DataLossError(f"chunk {chunk_idx} of {self.oid}: no live replica")
         # Bytes past the valid extent (e.g. after a truncate) are holes.
         if extent < len(buf):
             buf[extent:] = bytes(len(buf) - extent)
@@ -148,10 +137,9 @@ class DaosArray(DaosObject):
         shard[chunk_idx] = payload
         shard[("__sizes__", chunk_idx)] = accounted
 
-    def _store_chunk(
-        self, chunk_idx: int, buf: Optional[bytearray], extent: int
-    ) -> Dict[Target, int]:
-        """Write a chunk to its group; returns per-target charges.
+    def _store_chunk(self, chunk_idx: int, buf: Optional[bytearray], extent: int) -> List[Target]:
+        """Write a chunk to the members of its group's write plan;
+        returns their targets.
 
         ``buf`` is the chunk's bytes, or None for a non-materialising
         container: shards then keep empty payloads, while quorum checks
@@ -159,39 +147,23 @@ class DaosArray(DaosObject):
         """
         gi = self._group_of_chunk(chunk_idx)
         group = self.groups[gi]
-        charges: Dict[Target, int] = {}
+        members = self.plan(group, "write", "chunk %d", chunk_idx)
         if self.oc.is_ec:
             k, p = self.oc.ec_k, self.oc.ec_p
-            cell = self.cell_size
-            alive_total = sum(1 for t in group if t.alive)
-            if alive_total < k:
-                raise UnavailableError(
-                    f"chunk {chunk_idx} of {self.oid}: below EC write quorum"
-                )
+            size = cell = self.cell_size
             if buf is None:
-                cells = [b""] * (k + p)
+                pieces = [b""] * (k + p)
             else:
-                cells = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
-                cells += erasure.encode(cells, p)
-            for member, target in enumerate(group):
-                if not target.alive:
-                    continue
-                payload = cells[member]
-                self._put_shard_chunk(
-                    target, self.shard_key(gi, member), chunk_idx, payload, cell
-                )
-                charges[target] = cell
+                pieces = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
+                pieces += erasure.encode(pieces, p)
         else:
-            alive = [(m, t) for m, t in enumerate(group) if t.alive]
-            if not alive:
-                raise UnavailableError(f"chunk {chunk_idx} of {self.oid}: group down")
-            payload = b"" if buf is None else bytes(buf[:extent])
-            for member, target in alive:
-                self._put_shard_chunk(
-                    target, self.shard_key(gi, member), chunk_idx, payload, extent
-                )
-                charges[target] = extent
-        return charges
+            size = extent
+            pieces = [b"" if buf is None else bytes(buf[:extent])] * len(group)
+        for member in members:
+            self._put_shard_chunk(
+                group[member], self.shard_key(gi, member), chunk_idx, pieces[member], size
+            )
+        return [group[member] for member in members]
 
     # -- public functional API (timing added by DaosClient) ----------------------
     def write(
@@ -228,21 +200,13 @@ class DaosArray(DaosObject):
                     buf = bytearray(self.chunk_size)
                 buf[start:end] = data[pos : pos + piece_len]
             new_extent = max(prev_extent, end)
-            chunk_charges = self._store_chunk(chunk_idx, buf, new_extent)
+            targets = self._store_chunk(chunk_idx, buf, new_extent)
             self._extents[chunk_idx] = new_extent
-            # For EC the stored cells span the whole chunk; scale the
-            # charge to the bytes this write actually touched (+ parity).
-            if self.oc.is_ec:
-                k, p = self.oc.ec_k, self.oc.ec_p
-                data_share = piece_len / k
-                for member, target in enumerate(self.groups[self._group_of_chunk(chunk_idx)]):
-                    if target in chunk_charges:
-                        chunk_charges[target] = int(round(data_share))
-            else:
-                for target in chunk_charges:
-                    chunk_charges[target] = piece_len
-            for target, nb in chunk_charges.items():
-                charges[target] = charges.get(target, 0) + nb
+            # each member is charged the bytes this write touched: its
+            # cell's share of them for EC (parity included)
+            share = self._share(piece_len)
+            for target in targets:
+                charges[target] = charges.get(target, 0) + share
             pos += piece_len
         self._size = max(self._size, offset + nbytes)
         self.container.epoch += 1
@@ -275,45 +239,19 @@ class DaosArray(DaosObject):
                 buf = self._load_chunk(chunk_idx)
                 out_base = chunk_base + start - offset
                 out[out_base : out_base + end - start] = buf[start:end]
-            gi = self._group_of_chunk(chunk_idx)
-            group = self.groups[gi]
-            if self.oc.is_ec:
-                per_cell = read_len / self.oc.ec_k
-                served = 0
-                failed_over = False
-                for member, target in enumerate(group):
-                    if served >= self.oc.ec_k:
-                        break
-                    if target.alive:
-                        charges[target] = charges.get(target, 0) + int(round(per_cell))
-                        served += 1
-                    else:
-                        failed_over = True  # a cell must come from parity
-                if served < self.oc.ec_k:
-                    raise DataLossError(
-                        f"chunk {chunk_idx} of {self.oid}: "
-                        f"only {served} of {self.oc.ec_k} cells live"
-                    )
-                if failed_over:
-                    self.failovers += 1
-            else:
-                for member, target in enumerate(group):
-                    if target.alive:
-                        charges[target] = charges.get(target, 0) + read_len
-                        if member > 0:
-                            self.failovers += 1
-                        break
-                else:
-                    raise DataLossError(
-                        f"chunk {chunk_idx} of {self.oid}: no live replica"
-                    )
+            group = self.groups[self._group_of_chunk(chunk_idx)]
+            members = self.plan(group, "read", "chunk %d", chunk_idx)
+            if members != self.oc.healthy("read"):
+                self.failovers += 1  # a later replica or parity serves
+            share = self._share(read_len)
+            for member in members:
+                target = group[member]
+                charges[target] = charges.get(target, 0) + share
         return (zeros(nbytes) if out is None else bytes(out)), charges
 
-    def served(self, kind: str) -> int:
-        # writes reach every member; reads one replica or the k data cells
-        if kind == "write":
-            return self.oc.group_width
-        return self.oc.ec_k if self.oc.is_ec else 1
+    def _share(self, nbytes: int) -> int:
+        """Bytes one serving member moves of ``nbytes`` of one chunk."""
+        return int(round(nbytes / self.oc.ec_k)) if self.oc.is_ec else nbytes
 
     def _member_share(self, nbytes: Bytes) -> float:
         """Bytes one serving member takes of ``nbytes`` of bulk I/O."""
@@ -326,33 +264,20 @@ class DaosArray(DaosObject):
 
         Equivalent to summing :meth:`write`/:meth:`read` charges over a
         long run of chunk-aligned ops (chunks rotate round-robin over the
-        groups), without touching the functional store.  Raises the
-        per-op path's error when a group is exhausted:
-        ``UnavailableError`` for a write below quorum (no live member
-        for plain and replicated classes, fewer than k for EC) and
-        ``DataLossError`` for a read.  This per-object walk is the
+        groups), without touching the functional store: each group's
+        serve plan takes one share.  An exhausted group raises the
+        per-op error (``UnavailableError`` for a write,
+        ``DataLossError`` for a read).  This per-object walk is the
         reference for :meth:`ring_charges` and the only degraded-pool
         path.
         """
-        if kind not in ("write", "read"):
-            raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
         charges: Dict[Target, float] = {}
         get = charges.get
         amount = self._member_share(nbytes)
-        # writes reach every live member (dead ones are skipped, as in
-        # _store_chunk) once a group has quorum; reads take the first
-        # ``need`` live members
-        oc = self.oc
-        need = oc.ec_k if oc.is_ec else 1
-        limit = need if kind == "read" else oc.group_width
         for gi, group in enumerate(self.groups):
-            live = [t for t in group if t.alive]
-            if len(live) < need:
-                if kind == "write":
-                    raise UnavailableError(f"group {gi} of {self.oid}: below write quorum")
-                raise DataLossError(f"group {gi} of {self.oid}: {len(live)} of {need} live")
-            for member in live[:limit]:
-                charges[member] = get(member, 0.0) + amount
+            for member in self.plan(group, kind, "group %d", gi):
+                target = group[member]
+                charges[target] = get(target, 0.0) + amount
         return charges
 
     @staticmethod

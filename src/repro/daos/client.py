@@ -551,8 +551,7 @@ class DaosClient:
         return (yield from self._with_retry(op, "kv-get"))
 
     def kv_remove(self, kv: DaosKV, key: str) -> Generator:
+        """Timed KV remove: one md op on each engine of the write plan."""
         yield self._serial()
-        gi = kv._group_for(key)
-        engines = {t.engine for t in kv.groups[gi] if t.alive}
-        kv.remove(key)
-        yield from self._md_flow({e: 1.0 for e in engines}, name="kv-remove")
+        targets = kv.remove(key)
+        yield from self._md_flow({t.engine: 1.0 for t in targets}, name="kv-remove")

@@ -9,7 +9,7 @@ RP_2 rather than erasure-coding them, Section III-D).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -19,12 +19,7 @@ from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.placement import jump_consistent_hash
 from repro.daos.pool import Target
-from repro.errors import (
-    DataLossError,
-    InvalidArgumentError,
-    NotFoundError,
-    UnavailableError,
-)
+from repro.errors import InvalidArgumentError, NotFoundError
 from repro.sim.randomness import stable_hash64
 from repro.units import Bytes
 
@@ -81,50 +76,49 @@ class DaosKV(DaosObject):
             raise InvalidArgumentError("KV value must be bytes")
         gi = self._group_for(key)
         group = self.groups[gi]
-        alive = [(m, t) for m, t in enumerate(group) if t.alive]
-        if not alive:
-            raise UnavailableError(f"no live replica for key {key!r}")
+        members = self.plan(group, "write", "key %r", key)
         # KV values are always materialised (they are small: directory
         # entries, index records); only bulk Array data honours the
         # container's materialize switch.
         charges: Dict[Target, int] = {}
         payload = bytes(value)
-        for member, target in alive:
-            store = self._shard_store(target, gi, member)
-            store[key] = payload
+        for member in members:
+            target = group[member]
+            self._shard_store(target, gi, member)[key] = payload
             charges[target] = len(value)
         self.container.epoch += 1
         return charges
 
     def get(self, key: str) -> Tuple[bytes, Target]:
-        """Fetch a value; returns ``(value, serving_target)``."""
+        """Fetch a value from the read plan's replica; returns ``(value,
+        serving_target)``.  A group with no live replica raises
+        ``DataLossError``: its data is gone, so it is not retryable."""
         self._check_key(key)
         gi = self._group_for(key)
         group = self.groups[gi]
-        alive = [(m, t) for m, t in enumerate(group) if t.alive]
-        if not alive:
-            # every replica (and its data) is gone: not retryable
-            raise DataLossError(f"no live replica for key {key!r}")
-        for member, target in alive:
-            store = target.kv_shards.get(self.shard_key(gi, member))
+        for member in self.live_members(group, "key %r", key):
+            store = group[member].kv_shards.get(self.shard_key(gi, member))
             if store is not None and key in store:
-                return store[key], target
+                return store[key], group[member]
         raise NotFoundError(f"key {key!r} not found")
 
-    def remove(self, key: str) -> None:
+    def remove(self, key: str) -> List[Target]:
+        """Delete ``key`` from every member of its group's write plan;
+        returns their targets."""
         self._check_key(key)
         gi = self._group_for(key)
+        group = self.groups[gi]
+        members = self.plan(group, "write", "key %r", key)
         found = False
-        for member, target in enumerate(self.groups[gi]):
-            if not target.alive:
-                continue
-            store = target.kv_shards.get(self.shard_key(gi, member))
+        for member in members:
+            store = group[member].kv_shards.get(self.shard_key(gi, member))
             if store is not None and key in store:
                 del store[key]
                 found = True
         if not found:
             raise NotFoundError(f"key {key!r} not found")
         self.container.epoch += 1
+        return [group[member] for member in members]
 
     def contains(self, key: str) -> bool:
         try:
@@ -134,13 +128,13 @@ class DaosKV(DaosObject):
             return False
 
     def keys(self) -> Set[str]:
-        """Union of keys across all live shards (a full enumeration)."""
+        """Union of keys across all live shards (a full enumeration).
+        A group with no live replica raises ``DataLossError``, as a get
+        of its keys would."""
         out: Set[str] = set()
         for gi, group in enumerate(self.groups):
-            for member, target in enumerate(group):
-                if not target.alive:
-                    continue
-                store = target.kv_shards.get(self.shard_key(gi, member))
+            for member in self.live_members(group, "group %d", gi):
+                store = group[member].kv_shards.get(self.shard_key(gi, member))
                 if store:
                     out.update(store.keys())
         return out
@@ -152,37 +146,28 @@ class DaosKV(DaosObject):
         value, _ = self.get(key)
         return len(value)
 
-    def served(self, kind: str) -> int:
-        # puts reach every replica, gets one
-        return self.oc.group_width if kind == "put" else 1
-
     def bulk_op_loads(
         self, kind: str, n_ops: float, value_size: Bytes
     ) -> Tuple[Dict[Target, float], Dict]:
         """Analytic loads for ``n_ops`` puts/gets with uniformly hashed
         keys: per-target value bytes and per-engine request ops.
 
-        Puts hit every live replica of a group; gets are served by one.
-        A fully down group raises what :meth:`put`/:meth:`get` raise:
-        ``UnavailableError`` for puts, ``DataLossError`` for gets.  Used
+        Each group's serve plan takes ``n_ops / n_groups`` ops: every
+        live replica for puts, the first for gets.  A fully down group
+        raises what :meth:`put`/:meth:`get` raise: ``UnavailableError``
+        for puts, ``DataLossError`` for gets.  Used
         by the benchmark harness to batch index traffic (Field I/O and
         fdb-hammer average ~10 KV ops per field, paper Section III-B);
         the reference for :meth:`ring_op_loads` and the only
         degraded-pool path.
         """
-        if kind not in ("put", "get"):
-            raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")
+        op = _plan_kind(kind)
         charges: Dict[Target, float] = {}
         engine_ops: Dict = {}
         per_group = n_ops / self.n_groups
-        for group in self.groups:
-            members = [t for t in group if t.alive]
-            if not members:
-                if kind == "put":
-                    raise UnavailableError("KV group fully down")
-                raise DataLossError("KV group fully down")
-            serving = members if kind == "put" else members[:1]
-            for target in serving:
+        for gi, group in enumerate(self.groups):
+            for member in self.plan(group, op, "group %d", gi):
+                target = group[member]
                 charges[target] = charges.get(target, 0.0) + per_group * value_size
                 engine_ops[target.engine] = engine_ops.get(target.engine, 0.0) + per_group
         return charges, engine_ops
@@ -204,10 +189,9 @@ class DaosKV(DaosObject):
         ``np.cumsum``, never ``count * per_group``.  None when
         :func:`ring_batch` sends the batch to the per-object path.
         """
-        if kind not in ("put", "get"):
-            raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")
+        op = _plan_kind(kind)
         kvs = [kv for kv, _ in loads]
-        batch = ring_batch(kvs, kind) if kvs else None
+        batch = ring_batch(kvs, op) if kvs else None
         if batch is None:
             return None
         slots, counts = batch
@@ -230,3 +214,12 @@ class DaosKV(DaosObject):
         for gi, group in enumerate(self.groups):
             for member, target in enumerate(group):
                 target.kv_shards.pop(self.shard_key(gi, member), None)
+
+
+def _plan_kind(kind: str) -> str:
+    """The serve-plan kind of KV op ``kind`` (``"put"``/``"get"``)."""
+    if kind == "put":
+        return "write"
+    if kind == "get":
+        return "read"
+    raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")

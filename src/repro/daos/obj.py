@@ -13,6 +13,7 @@ from repro.daos.objclass import ObjectClass
 from repro.daos.oid import ObjectId
 from repro.daos.placement import start_slot
 from repro.daos.pool import Target
+from repro.errors import DataLossError, UnavailableError
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -62,9 +63,24 @@ class DaosObject:
         self.groups[group_idx][member_idx] = target
         self.relaid = True
 
-    def served(self, kind: str) -> int:
-        """Leading members of each healthy group that op ``kind`` reaches."""
-        raise NotImplementedError
+    def plan(self, group: Sequence[Target], kind: str, where: str, *args: object) -> Tuple[int, ...]:
+        """The members of ``group`` that serve op ``kind``: the class's
+        :meth:`~ObjectClass.serve` plan over the members' liveness.  Its
+        error names ``where % args`` and the OID, formatted only when
+        the plan raises."""
+        try:
+            return self.oc.serve(tuple([t.alive for t in group]), kind)
+        except (UnavailableError, DataLossError) as err:
+            raise type(err)(f"{where % args} of {self.oid}: {err}") from None
+
+    def live_members(self, group: Sequence[Target], where: str, *args: object) -> Tuple[int, ...]:
+        """Every live member of ``group``, in member order (the write
+        plan), once the read plan shows the group can serve a read.
+        Searches walk these from the read plan's first member on, so a
+        member restored empty (recovered without rebuild) falls through
+        to the next."""
+        self.plan(group, "read", where, *args)
+        return self.plan(group, "write", where, *args)
 
     @property
     def materialize(self) -> bool:
@@ -102,11 +118,11 @@ def first_appearance(idx: NDArray[np.intp]) -> NDArray[np.intp]:
 
 
 @lru_cache(maxsize=None)
-def ring_offsets(n_groups: int, width: int, served: int) -> NDArray[np.intp]:
-    """The canonical profile: ring-relative slots of the first ``served``
-    members of each of ``n_groups`` groups of ``width``, in group/member
-    order.  Read-only, as it is shared."""
-    offs = (np.arange(n_groups)[:, None] * width + np.arange(served)).ravel()
+def ring_offsets(n_groups: int, width: int, members: Tuple[int, ...]) -> NDArray[np.intp]:
+    """The canonical profile: ring-relative slots of ``members`` (a
+    healthy plan) in each of ``n_groups`` groups of ``width``, in
+    group/member order.  Read-only, as it is shared."""
+    offs = (np.arange(n_groups)[:, None] * width + np.array(members, dtype=np.intp)).ravel()
     offs.flags.writeable = False
     return offs
 
@@ -114,15 +130,17 @@ def ring_offsets(n_groups: int, width: int, served: int) -> NDArray[np.intp]:
 def ring_batch(
     objs: Sequence[DaosObject], kind: str
 ) -> Optional[Tuple[NDArray[np.intp], NDArray[np.intp]]]:
-    """The ring slots op ``kind`` reaches on each object, by index
-    arithmetic over the ring instead of per-object group lists.
+    """The ring slots that serve op ``kind`` (``"write"``/``"read"``) on
+    each object, by index arithmetic over the ring instead of
+    per-object group lists.
 
     Returns ``(slots, counts)``: ``slots`` holds each object's
-    :func:`ring_offsets` rotated by its ``start``, concatenated in batch
-    order, and ``counts[i]`` is the number of slots of ``objs[i]``.
-    Returns None unless every object is still a pure ring slice and
-    every slot the op reaches is alive; such a batch must take the
-    per-object path.  ``objs`` must be non-empty and share one pool.
+    :func:`ring_offsets` of the healthy plan rotated by its ``start``,
+    concatenated in batch order, and ``counts[i]`` is the number of
+    slots of ``objs[i]``.  Returns None unless every object is still a
+    pure ring slice and every group's plan is the healthy plan; such a
+    batch must take the per-object path.  ``objs`` must be non-empty
+    and share one pool.
     """
     pool = objs[0].container.pool
     n = pool.n_targets
@@ -134,7 +152,7 @@ def ring_batch(
         if any(o.relaid for o in run):
             return None
         head = run[0]
-        offs = ring_offsets(head.n_groups, head.oc.group_width, head.served(kind))
+        offs = ring_offsets(head.n_groups, head.oc.group_width, head.oc.healthy(kind))
         starts = np.fromiter((o.start for o in run), dtype=np.intp, count=len(run))
         block = starts[:, None] + offs
         # start < n and offs < n: wrapping is one subtraction, not a modulo
@@ -142,6 +160,8 @@ def ring_batch(
         blocks.append(block.ravel())
         counts.append(np.full(len(run), len(offs), dtype=np.intp))
     slots = np.concatenate(blocks)
+    # a plan takes leading live members, so it is the healthy plan
+    # exactly when every member the healthy plan names is alive
     alive = pool.alive_mask()
     if not alive.all() and not alive[slots].all():
         return None

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
-from repro.errors import InvalidArgumentError
+from repro.errors import DataLossError, InvalidArgumentError, UnavailableError
 
 __all__ = ["ObjectClass"]
 
@@ -150,6 +152,36 @@ class ObjectClass:
         if self.is_ec:
             return self.ec_p
         return self.replicas - 1
+
+    # -- serve plan ------------------------------------------------------------
+    @lru_cache(maxsize=None)
+    def serve(self, alive: Tuple[bool, ...], kind: str) -> Tuple[int, ...]:
+        """The members of one group that serve op ``kind``, in member order.
+
+        ``alive`` is the group's per-member liveness and ``kind`` is
+        ``"write"`` or ``"read"``.  A group has quorum with k live
+        members for EC, else with one.  Then a write reaches every live
+        member, and a read the first k live members for EC or the first
+        live replica otherwise.  Below quorum a write raises
+        :class:`UnavailableError` and a read :class:`DataLossError`.
+        With every member alive this is the :meth:`healthy` plan.
+        Plans are cached; errors are raised afresh.
+        """
+        if kind not in ("write", "read"):
+            raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
+        live = tuple(m for m, up in enumerate(alive) if up)
+        quorum = self.ec_k if self.is_ec else 1
+        if len(live) < quorum:
+            if kind == "write":
+                raise UnavailableError(f"{len(live)} of {quorum} live, below write quorum")
+            if self.is_ec:
+                raise DataLossError(f"only {len(live)} of {quorum} cells live")
+            raise DataLossError("no live replica")
+        return live if kind == "write" else live[:quorum]
+
+    def healthy(self, kind: str) -> Tuple[int, ...]:
+        """:meth:`serve` with every member of the group alive."""
+        return self.serve((True,) * self.group_width, kind)
 
     def __str__(self) -> str:
         return self.name

@@ -18,6 +18,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.daos.array import DaosArray
 from repro.daos.kv import DaosKV
+from repro.daos.obj import DaosObject
 from repro.daos.pool import Pool, Target
 from repro.errors import ConfigError, DataLossError
 from repro.daos import erasure
@@ -69,6 +70,14 @@ def plan_rebuild(pool: Pool, failed: Target) -> List[Tuple[object, int, int]]:
     return todo
 
 
+def _source(obj: DaosObject, gi: int, mi: int) -> int:
+    """The member a lost replica is copied from: the read plan of group
+    ``gi`` with the lost member ``mi`` masked.  Raises
+    ``DataLossError`` when no other replica is live."""
+    alive = tuple([t.alive and m != mi for m, t in enumerate(obj.groups[gi])])
+    return obj.oc.serve(alive, "read")[0]
+
+
 def _rebuild_array_shard(pool: Pool, arr: DaosArray, gi: int, mi: int, dest: Target) -> Tuple[int, Dict[Target, int]]:
     """Reconstruct one lost array shard onto ``dest``.
 
@@ -102,15 +111,11 @@ def _rebuild_array_shard(pool: Pool, arr: DaosArray, gi: int, mi: int, dest: Tar
                 payload = b""
             arr._put_shard_chunk(dest, arr.shard_key(gi, mi), chunk_idx, payload, cell)
             written += cell
-        elif arr.oc.is_replicated:
-            source = next(
-                (t for m, t in enumerate(group) if m != mi and t.alive), None
-            )
-            if source is None:
-                raise DataLossError(f"{arr.oid}: no surviving replica")
-            shard = source.array_shards.get(
-                arr.shard_key(gi, [m for m, t in enumerate(group) if t is source][0])
-            )
+        else:
+            # raises for a class without redundancy: no other replica
+            sm = _source(arr, gi, mi)
+            source = group[sm]
+            shard = source.array_shards.get(arr.shard_key(gi, sm))
             payload = b""
             size = arr._extents.get(chunk_idx, 0)
             if shard is not None and chunk_idx in shard:
@@ -119,19 +124,12 @@ def _rebuild_array_shard(pool: Pool, arr: DaosArray, gi: int, mi: int, dest: Tar
             reads[source] = reads.get(source, 0) + size
             arr._put_shard_chunk(dest, arr.shard_key(gi, mi), chunk_idx, payload, size)
             written += size
-        else:
-            raise DataLossError(f"{arr.oid}: shard has no redundancy")
     return written, reads
 
 
 def _rebuild_kv_shard(kv: DaosKV, gi: int, mi: int, dest: Target) -> Tuple[int, Dict[Target, int]]:
-    group = kv.groups[gi]
-    source_entry = next(
-        ((m, t) for m, t in enumerate(group) if m != mi and t.alive), None
-    )
-    if source_entry is None:
-        raise DataLossError(f"{kv.oid}: no surviving KV replica")
-    sm, source = source_entry
+    sm = _source(kv, gi, mi)
+    source = kv.groups[gi][sm]
     store = source.kv_shards.get(kv.shard_key(gi, sm), {})
     dest_store = dest.kv_shards.setdefault(kv.shard_key(gi, mi), {})
     moved = 0

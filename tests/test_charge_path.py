@@ -9,8 +9,9 @@ the slow, obvious formulation it replaces:
 
 - layouts equal the ring slots :func:`place_groups` picks, as private lists;
 - ``bulk_charges`` equals the summed per-chunk ``write()``/``read()``
-  charges of the functional store, dead targets included, and raises
-  the per-op error when a group is exhausted;
+  charges of the functional store, dead targets included;
+- for every liveness vector of a group, each per-op, bulk and ring path
+  serves the members of one spelled-out serve rule, or raises its error;
 - the rotation equals the per-object ``bulk_charges``/``bulk_op_loads``
   walk, and the merge the per-target dict fold, bit for bit, key order
   too.
@@ -18,12 +19,14 @@ the slow, obvious formulation it replaces:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List
 
 import pytest
 
 from repro.daos.array import DaosArray
 from repro.daos.kv import DaosKV
+from repro.daos.objclass import ObjectClass
 from repro.daos.placement import place_groups
 from repro.daos.pool import Pool, Target
 from repro.daos.rebuild import run_rebuild
@@ -270,57 +273,129 @@ def test_aggregate_ior_on_healthy_pool_never_builds_group_lists(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exhausted groups: the aggregate path raises the per-op error
+# serve plans: every path's members against one spelled-out rule
 
 
-def _kill(pool: Pool, targets) -> None:
-    for t in targets:
-        pool.fail_target(t.global_index)
+def _rule(oc, alive, kind: str):
+    """The serve rule, written independently of ``ObjectClass.serve``:
+    ``(members, None)`` or ``(None, error type)``."""
+    live = tuple(m for m, up in enumerate(alive) if up)
+    quorum = oc.ec_k or 1
+    if len(live) < quorum:
+        return None, UnavailableError if kind == "write" else DataLossError
+    return (live if kind == "write" else live[:quorum]), None
 
 
-#: (class, members of group 0 lost): every way to exhaust a group
+def _healthy(oc, kind: str):
+    return _rule(oc, (True,) * oc.group_width, kind)[0]
+
+
+def _set_liveness(group, alive) -> None:
+    for target, up in zip(group, alive):
+        if up and not target.alive:
+            target.restore()  # back empty, as after a recovery
+        elif not up and target.alive:
+            target.fail()
+
+
+def _served(obj, gi: int, members, kind: str) -> List[Target]:
+    """Targets in bulk order: group ``gi`` serves ``members``, every
+    other group (all alive) its healthy plan."""
+    healthy = _healthy(obj.oc, kind)
+    return [group[m] for g, group in enumerate(obj.groups)
+            for m in (members if g == gi else healthy)]
+
+
+def _vectors(width: int):
+    return list(itertools.product((True, False), repeat=width))
+
+
+def _check_array_plans(oc: str, vectors) -> None:
+    """For each liveness vector of group 0, every array path serves the
+    rule's members or raises its error, and a read fails over exactly
+    when its plan is not the healthy plan."""
+    pool = _pool(4)
+    cont = pool.create_container("plan", materialize=False)
+    arr = cont.new_array(oc, chunk_size=CHUNK)
+    arr.write(0, nbytes=CHUNK)  # chunk 0 lives in group 0
+    group = arr.groups[0]
+    per_op = {"write": lambda: arr.write(0, nbytes=CHUNK), "read": lambda: arr.read(0, CHUNK)[1]}
+    for alive in vectors:
+        _set_liveness(group, alive)
+        for kind in ("write", "read"):
+            members, error = _rule(arr.oc, alive, kind)
+            before = arr.failovers
+            if error is not None:
+                for path in (lambda: arr.oc.serve(alive, kind), per_op[kind],
+                             lambda: arr.bulk_charges(kind, CHUNK),
+                             lambda: array_charges(pool, [arr], kind, 1)):
+                    with pytest.raises(error):
+                        path()
+                assert DaosArray.ring_charges([arr], kind, 1) is None
+                assert arr.failovers == before
+                continue
+            assert arr.oc.serve(alive, kind) == members
+            is_healthy = members == _healthy(arr.oc, kind)
+            assert list(per_op[kind]()) == [group[m] for m in members], (alive, kind)
+            assert arr.failovers - before == (kind == "read" and not is_healthy)
+            want = _served(arr, 0, members, kind)
+            assert list(arr.bulk_charges(kind, CHUNK)) == want
+            assert list(array_charges(pool, [arr], kind, 1)) == want
+            ring = DaosArray.ring_charges([arr], kind, 1)
+            assert (ring is None) == (not is_healthy), (alive, kind)
+
+
+def _check_kv_plans(oc: str, vectors) -> None:
+    """The same for a KV: puts take the write plan, gets the read plan."""
+    pool = _pool(4)
+    cont = pool.create_container("kvplan", materialize=False)
+    kv = cont.new_kv(oc)
+    gi = kv._group_for("k")
+    group = kv.groups[gi]
+    per_op = {"put": lambda: list(kv.put("k", b"v")), "get": lambda: [kv.get("k")[1]]}
+    for alive in vectors:
+        _set_liveness(group, alive)
+        for kind, plan_kind in (("put", "write"), ("get", "read")):
+            members, error = _rule(kv.oc, alive, plan_kind)
+            if error is not None:
+                for path in (per_op[kind], lambda: kv.bulk_op_loads(kind, 10, 24)):
+                    with pytest.raises(error):
+                        path()
+                assert DaosKV.ring_op_loads([(kv, 10)], kind, 24) is None
+                continue
+            is_healthy = members == _healthy(kv.oc, plan_kind)
+            assert per_op[kind]() == [group[m] for m in members], (alive, kind)
+            assert list(kv.bulk_op_loads(kind, 10, 24)[0]) == _served(kv, gi, members, plan_kind)
+            ring = DaosKV.ring_op_loads([(kv, 10)], kind, 24)
+            assert (ring is None) == (not is_healthy), (alive, kind)
+
+
+@pytest.mark.parametrize("oc", ["S1", "RP_2G1", "RP_3G1", "EC_2P1G1", "EC_4P2G1"])
+def test_serve_plan_every_liveness_vector(oc):
+    _check_array_plans(oc, _vectors(ObjectClass.parse(oc).group_width))
+
+
+@pytest.mark.parametrize("oc", ["S1", "RP_2G1", "RP_3G1"])
+def test_kv_serve_plan_every_liveness_vector(oc):
+    _check_kv_plans(oc, _vectors(ObjectClass.parse(oc).group_width))
+
+
+#: (class, members of group 0 lost): every way to exhaust a group,
+#: multi-group classes included
 EXHAUSTED = [("S1", 1), ("SX", 1), ("RP_2G1", 2), ("RP_2GX", 2),
              ("EC_2P1G1", 2), ("EC_2P1GX", 2), ("EC_2P1G1", 3), ("EC_2P1GX", 3)]
 
 
 @pytest.mark.parametrize("oc,lost", EXHAUSTED)
 def test_exhausted_group_raises_per_op_error(oc, lost):
-    """Writes below quorum raise UnavailableError and reads without
-    enough live members raise DataLossError, in bulk_charges exactly as
-    in write()/read()."""
-    pool = _pool(4)
-    cont = pool.create_container("lost", materialize=False)
-    arr = cont.new_array(oc, chunk_size=CHUNK)
-    arr.write(0, nbytes=CHUNK)  # chunk 0 lives in group 0
-    _kill(pool, arr.groups[0][:lost])
-    errors = {"write": UnavailableError, "read": DataLossError}
-    per_op = {"write": lambda: arr.write(0, nbytes=CHUNK), "read": lambda: arr.read(0, CHUNK)}
-    for kind, error in errors.items():
-        with pytest.raises(error):
-            per_op[kind]()
-        with pytest.raises(error):
-            arr.bulk_charges(kind, CHUNK)
-        assert DaosArray.ring_charges([arr], kind, 1) is None
-        with pytest.raises(error):
-            array_charges(pool, [arr], kind, 1)
+    width = ObjectClass.parse(oc).group_width
+    _check_array_plans(oc, [(False,) * lost + (True,) * (width - lost)])
 
 
 @pytest.mark.parametrize("oc", ["S1", "SX", "RP_2GX"])
 def test_kv_exhausted_group_raises_per_op_error(oc):
-    pool = _pool(4)
-    cont = pool.create_container("kvlost", materialize=False)
-    kv = cont.new_kv(oc)
-    kv.put("k", b"v")
-    group = kv.groups[kv._group_for("k")]
-    _kill(pool, group)
-    with pytest.raises(DataLossError):
-        kv.get("k")
-    with pytest.raises(DataLossError):
-        kv.bulk_op_loads("get", 10, 24)
-    with pytest.raises(UnavailableError):
-        kv.put("k", b"v")
-    with pytest.raises(UnavailableError):
-        kv.bulk_op_loads("put", 10, 24)
+    width = ObjectClass.parse(oc).group_width
+    _check_kv_plans(oc, [(False,) * width])
 
 
 # ---------------------------------------------------------------------------

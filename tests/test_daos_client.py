@@ -3,6 +3,7 @@
 import pytest
 
 from repro.daos import DaosClient, Pool
+from repro.errors import UnavailableError
 from repro.hardware import Cluster
 from repro.units import GiB, KiB, MiB
 
@@ -250,6 +251,33 @@ def test_kv_remove_timed():
         return kv.contains("k")
 
     assert drive(cluster, flow()) is False
+
+
+def test_kv_remove_md_flow_follows_write_plan():
+    """kv_remove charges one md op per engine of the write plan, and an
+    exhausted group raises UnavailableError before any flow."""
+    cluster, pool, client = setup()
+    flows = []
+
+    def md_flow(ops_by_engine, rsvc_ops=0.0, name="md"):
+        flows.append((name, dict(ops_by_engine)))
+        yield cluster.sim.timeout(0)
+
+    client._md_flow = md_flow
+    cont = pool.create_container("c")
+    kv = cont.new_kv("RP_3")
+    kv.put("k", b"v")
+    kv.put("gone", b"v")
+    group = kv.groups[kv._group_for("k")]
+    pool.fail_target(group[1].global_index)
+    drive(cluster, client.kv_remove(kv, "k"))
+    assert flows == [("kv-remove", {group[0].engine: 1.0, group[2].engine: 1.0})]
+    for target in kv.groups[kv._group_for("gone")]:
+        if target.alive:
+            pool.fail_target(target.global_index)
+    with pytest.raises(UnavailableError):
+        drive(cluster, client.kv_remove(kv, "gone"))
+    assert len(flows) == 1
 
 
 def test_destroy_container_timed():

@@ -182,6 +182,47 @@ def test_kv_unreplicated_fails_on_dead_target(pool):
         kv.get("k")
 
 
+def test_kv_remove_on_exhausted_group_is_unavailable(pool):
+    """A remove takes the write plan, so a group with no live member
+    raises what a put raises, not NotFoundError."""
+    kv = make_kv(pool, oc="S1")
+    kv.put("k", b"v")
+    pool.fail_target(kv.groups[kv._group_for("k")][0].global_index)
+    with pytest.raises(UnavailableError):
+        kv.remove("k")
+
+
+def test_kv_remove_returns_write_plan_targets(pool):
+    kv = make_kv(pool, oc="RP_3")
+    kv.put("k", b"v")
+    group = kv.groups[kv._group_for("k")]
+    pool.fail_target(group[1].global_index)
+    assert kv.remove("k") == [group[0], group[2]]
+
+
+def test_kv_keys_raise_on_exhausted_group():
+    """Listing a KV with an exhausted group is data loss, not a shorter
+    list; ``len`` follows."""
+    pool = Pool(Cluster(n_servers=1, n_clients=1, seed=1))
+    kv = make_kv(pool, oc="SX")
+    for i in range(200):
+        kv.put(f"key-{i}", b"x")
+    pool.fail_target(kv.groups[0][0].global_index)
+    with pytest.raises(DataLossError):
+        kv.keys()
+    with pytest.raises(DataLossError):
+        len(kv)
+
+
+def test_kv_keys_union_over_live_replicas(pool):
+    kv = make_kv(pool, oc="RP_2GX")
+    for i in range(200):
+        kv.put(f"key-{i}", b"x")
+    for group in kv.groups:
+        pool.fail_target(group[0].global_index)
+    assert kv.keys() == {f"key-{i}" for i in range(200)}
+
+
 def test_kv_put_charges_cover_replicas(pool):
     kv = make_kv(pool, oc="RP_2")
     charges = kv.put("k", b"12345678")

@@ -70,7 +70,7 @@ class PgMap:
         return [self.osds[i] for i in self._acting[self.pg_of(object_name)]]
 
     def primary(self, object_name: str) -> Osd:
-        return self.acting_set(object_name)[0]
+        return self.osds[self._acting[self.pg_of(object_name)][0]]
 
     def pg_distribution(self) -> List[int]:
         """Primary-PG count per OSD (used to verify balance in tests)."""

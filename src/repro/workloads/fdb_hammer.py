@@ -225,20 +225,28 @@ class _FdbRadosRunner(_FdbRunnerBase):
         for state in states:
             backend: FdbRadosBackend = state["fdb"].backend
             pool = backend.pool
+            # object seq -> primary OSD, placed by the write phase; the
+            # PG map never changes and the read phase names the same
+            # objects, so reads reuse it instead of re-hashing names
+            placed: Dict[int, Any] = state.setdefault("placed", {})
             if kind == "write":
                 start = backend._counter
                 backend._counter += ops
             else:
                 start = state.get("read_cursor", 0)
                 state["read_cursor"] = start + ops
-            for i in range(ops):
-                name = backend._object_name(start + i)
-                primary = pool.pgmap.primary(name)
+            for seq in range(start, start + ops):
+                if kind == "write":
+                    name = backend._object_name(seq)
+                    primary = placed[seq] = pool.pgmap.primary(name)
+                    pool.object_sizes[name] = cfg.op_size
+                    backend._index[state["keys"][seq].canonical()] = (name, cfg.op_size)
+                elif seq in placed:
+                    primary = placed[seq]
+                else:
+                    primary = pool.pgmap.primary(backend._object_name(seq))
                 per_osd[primary] = per_osd.get(primary, 0.0) + cfg.op_size
                 ops_by_osd[primary] = ops_by_osd.get(primary, 0.0) + 1.0
-                if kind == "write":
-                    pool.object_sizes[name] = cfg.op_size
-                    backend._index[state["keys"][start + i].canonical()] = (name, cfg.op_size)
             # index omap traffic on the per-process index object
             idx_primary = pool.pgmap.primary(backend.index_object)
             per_osd[idx_primary] = per_osd.get(idx_primary, 0.0) + ops * KV_VALUE_SIZE

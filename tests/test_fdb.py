@@ -1,6 +1,11 @@
 """FDB: schema, facade, and all three backends."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ceph import CephCluster, RadosClient
 from repro.daos import DaosClient, Pool
@@ -8,6 +13,7 @@ from repro.errors import InvalidArgumentError, NotFoundError
 from repro.fdb import (
     FDB,
     FdbDaosBackend,
+    FdbKey,
     FdbPosixBackend,
     FdbRadosBackend,
     key_sequence,
@@ -56,6 +62,100 @@ def test_key_sequence_unique_and_sized():
     assert len(set(keys)) == 100
     other = set(key_sequence(100, member=4))
     assert not other & set(keys)  # members are disjoint
+
+
+@pytest.mark.parametrize("value", ["130,levelist=1", "130=1", ""])
+def test_make_key_rejects_values_that_break_the_index_string(value):
+    # "param=130,levelist=1" would otherwise be the index string of two
+    # distinct keys, and one field would overwrite the other
+    with pytest.raises(InvalidArgumentError):
+        make_key(class_="od", stream="oper", date=1, time=0, step=0, param=value)
+
+
+def test_key_duplicate_attribute_rejected():
+    with pytest.raises(InvalidArgumentError):
+        make_key(class_="od", stream="oper", date=1, time=0, step=0, param=1, **{"class": "rd"})
+    with pytest.raises(InvalidArgumentError):
+        FdbKey((("class", "od"), ("class", "rd"), ("stream", "oper"), ("date", "1"),
+                ("time", "0"), ("step", "0"), ("param", "1")))
+
+
+def test_key_items_kept_in_schema_order():
+    key = next(iter(key_sequence(1)))
+    reordered = FdbKey(tuple(reversed(key.items)))
+    assert reordered.items == key.items
+    assert reordered == key
+    assert hash(reordered) == hash(key)
+    assert reordered.canonical() == key.canonical()
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, instead of hanging, if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("sweep", [dict(params=()), dict(levels=()), dict(params=(), levels=())])
+def test_key_sequence_rejects_empty_sweep(sweep):
+    with time_limit(5), pytest.raises(InvalidArgumentError):
+        next(iter(key_sequence(1, **sweep)))
+    assert list(key_sequence(0, **sweep)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_fields=st.integers(0, 90),
+    member=st.integers(-5, 10**6),
+    date=st.integers(0, 99991231),
+    params=st.lists(st.integers(-5, 999), min_size=1, max_size=5).map(tuple),
+    levels=st.lists(st.integers(-5, 1000), min_size=1, max_size=4).map(tuple),
+)
+def test_key_sequence_matches_make_key(n_fields, member, date, params, levels):
+    keys = list(key_sequence(n_fields, member=member, date=date, params=params, levels=levels))
+    assert len(keys) == n_fields
+    per_step = len(params) * len(levels)
+    for i, key in enumerate(keys):
+        ref = make_key(
+            class_="od", stream="enfo", expver="0001", date=date, time="0000",
+            domain="g", type="pf", levtype="pl", step=6 * (i // per_step),
+            param=params[i % len(params)],
+            levelist=f"{levels[(i // len(params)) % len(levels)]}.{member}",
+        )
+        assert key == ref
+        assert key.items == ref.items
+        assert key.canonical() == ref.canonical()
+        assert key.index_group() == ref.index_group()
+        assert str(key) == str(ref)
+        assert hash(key) == hash(ref)
+
+
+#: small value pools, so that generated keys often coincide
+_key_attrs = st.fixed_dictionaries(
+    {k: st.sampled_from(["0", "1", "od"]) for k in ("class", "stream", "date", "time", "step", "param")},
+    optional={k: st.sampled_from(["0", "1", "pl"]) for k in ("expver", "domain", "type", "levtype", "levelist")},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_key_attrs, b=_key_attrs, order=st.randoms(use_true_random=False))
+def test_keys_equal_exactly_when_index_strings_equal(a, b, order):
+    items = list(b.items())
+    order.shuffle(items)
+    ka, kb = make_key(**a), FdbKey(items)
+    assert (ka == kb) == (ka.canonical() == kb.canonical())
+    if ka == kb:
+        assert hash(ka) == hash(kb)
+        assert ka.index_group() == kb.index_group()
 
 
 # -- backends -------------------------------------------------------------------
@@ -288,3 +388,62 @@ def test_counters_track_operations():
         return fdb.archived, fdb.retrieved
 
     assert drive(cluster, flow()) == (3, 2)
+
+
+def test_rados_aggregate_read_reuses_write_placement(monkeypatch):
+    """The aggregate read phase charges each OSD exactly what re-hashing
+    every object name would, and hashes only the index objects again."""
+    from repro.ceph.placement import PgMap
+    from repro.workloads.common import CephEnv, WorkloadConfig
+    from repro.workloads.fdb_hammer import _FdbRadosRunner, run_fdb_hammer
+
+    def run(rehash):
+        log = []
+        pg_of, bulk, batch_flow = PgMap.pg_of, RadosClient.bulk_transfer, _FdbRadosRunner.batch_flow
+
+        def spy_pg_of(pgmap, name):
+            log.append(name)
+            return pg_of(pgmap, name)
+
+        def spy_bulk(client, kind, per_osd, ops_by_osd=None, **kwargs):
+            log.append((
+                kind,
+                [(osd.index, b) for osd, b in per_osd.items()],
+                [(osd.index, n) for osd, n in ops_by_osd.items()],
+            ))
+            return bulk(client, kind, per_osd, ops_by_osd=ops_by_osd, **kwargs)
+
+        def forgetful(runner, node, states, phase, ops):
+            if phase == "read":
+                for state in states:
+                    state["placed"] = {}
+            return batch_flow(runner, node, states, phase, ops)
+
+        with monkeypatch.context() as m:
+            m.setattr(PgMap, "pg_of", spy_pg_of)
+            m.setattr(RadosClient, "bulk_transfer", spy_bulk)
+            if rehash:
+                m.setattr(_FdbRadosRunner, "batch_flow", forgetful)
+            cfg = WorkloadConfig(n_client_nodes=2, ppn=2, ops_per_process=16, op_size=MiB,
+                                 mode="aggregate")
+            run_fdb_hammer(CephEnv(Cluster(n_servers=4, n_clients=2, seed=0)), cfg, "RADOS")
+        return log
+
+    def read_hashes(log):
+        names, pending = [], []
+        for entry in log:
+            if isinstance(entry, tuple):
+                if entry[0] == "read":
+                    names += pending
+                pending = []
+            else:
+                pending.append(entry)
+        return names
+
+    reused, rehashed = run(rehash=False), run(rehash=True)
+    transfers = [e for e in reused if isinstance(e, tuple)]
+    assert {kind for kind, _, _ in transfers} == {"write", "read"}
+    assert transfers == [e for e in rehashed if isinstance(e, tuple)]
+    hashed = read_hashes(reused)
+    assert hashed and all(name.startswith("fdb.index.") for name in hashed)
+    assert any(name.startswith("fdb.0.") for name in read_hashes(rehashed))

@@ -1,6 +1,6 @@
 """Whole-program symbol table and call graph over the linted tree.
 
-simflow's rules (SL011–SL014) need to answer questions simlint's
+The whole-program rules (SL011–SL014) need to answer questions
 one-file AST walks cannot: *"can this observation callback reach a
 simulation-state mutation through any chain of calls?"*.  This module
 builds the shared substrate once per run:
@@ -208,7 +208,7 @@ class _ModuleFacts:
 
 
 class ProjectGraph:
-    """The whole-program fact store shared by every simflow rule."""
+    """The whole-program fact store shared by SL011–SL014."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, _ModuleFacts] = {}
@@ -222,15 +222,16 @@ class ProjectGraph:
         self._lambda_counter = 0
         self._resolved = False
         self._added: Set[str] = set()
-        #: scratch space for analyses layered on the graph (simflow
-        #: rules memoise their whole-program results here so four rules
+        #: scratch space for analyses layered on the graph (the four
+        #: whole-program rules memoise their results here so rules
         #: sharing one graph never recompute each other's passes)
         self.memo: Dict[str, object] = {}
 
     # -- phase 1: per-file collection ---------------------------------------
     def add_module_once(self, relpath: str, tree: ast.AST) -> None:
-        """Idempotent :meth:`add_module` — every simflow rule calls this
-        from its collect pass; only the first call per file does work."""
+        """Idempotent :meth:`add_module` — every SL011–SL014 rule calls
+        this from its collect pass; only the first call per file does
+        work."""
         if relpath in self._added:
             return
         self._added.add(relpath)

@@ -20,11 +20,12 @@ modelled-class attributes, and tainted returns *from* modelled-package
 functions.
 
 Both passes are optimistic where Python is dynamic: an attribute call
-on an unknown receiver contributes no effect and no taint edge.  The
-dynamic escape hatches that could hide real flows (``getattr``
-dispatch, ``__getattr__`` classes) are surfaced separately by the
-call-graph layer so SL011 can warn about them instead of silently
-trusting the closure.
+on an unknown receiver contributes no taint edge, and no effect unless
+its method is mutator-named (``self.sim.schedule(...)`` counts whatever
+``self.sim`` is).  The dynamic escape hatches that could hide real
+flows (``getattr`` dispatch, ``__getattr__`` classes) are surfaced
+separately by the call-graph layer so SL011 can warn about them
+instead of silently trusting the closure.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import CallSite, FunctionInfo, ProjectGraph, dotted
-from repro.lint.astutil import ImportMap, resolve_call_name
+from repro.lint.astutil import WALLCLOCK_CALLS, ImportMap, resolve_call_name
 from repro.lint.config import LintConfig
-from repro.lint.rules.wallclock import WALLCLOCK_CALLS
 
 __all__ = [
     "Effect",
@@ -46,8 +46,8 @@ __all__ = [
     "OBSERVATION_ATTRS",
 ]
 
-#: methods that mutate simulation state when called on a sim-state
-#: object (mirrors SL005's forbidden probe-callback calls)
+#: methods that schedule events or mutate the flow network when called
+#: on a sim-state object, or on a receiver whose type is unknown
 MUTATOR_METHODS = frozenset({
     "schedule", "process", "transfer", "transfer_and_wait", "cancel",
     "set_capacity", "add_link", "succeed", "fail",
@@ -59,9 +59,6 @@ OBSERVATION_ATTRS = frozenset({
     "metrics", "profile", "ledger", "time_probe", "on_transfer",
     "track_binding",
 })
-
-#: method calls that register an observer rather than mutate state
-SANCTIONED_CALLS = frozenset({"_subscribe"})
 
 #: numpy.random constructors that, *given a seed argument*, produce a
 #: deterministic generator rather than ambient randomness
@@ -137,7 +134,6 @@ class EffectAnalysis:
     # -- direct effects ------------------------------------------------------
     def _direct_effects(self, info: FunctionInfo) -> List[Effect]:
         effects: List[Effect] = []
-        calls_by_id = {id(site.node): site for site in info.calls}
         for stmt in _ordered_statements(info.node):
             for target in _store_targets(stmt):
                 effect = self._store_effect(info, target)
@@ -147,7 +143,6 @@ class EffectAnalysis:
             effect = self._call_effect(info, site)
             if effect is not None:
                 effects.append(effect)
-        del calls_by_id
         return effects
 
     def _store_effect(self, info: FunctionInfo, target: ast.AST) -> Optional[Effect]:
@@ -169,29 +164,30 @@ class EffectAnalysis:
         )
 
     def _call_effect(self, info: FunctionInfo, site: CallSite) -> Optional[Effect]:
-        """A call that is itself a mutation: a *mutator-named* method on
-        a sim-state receiver whose body the graph could not resolve (a
-        resolved callee's writes are covered by the closure instead)."""
+        """A call that is itself a mutation: a *mutator-named* call the
+        graph could not resolve (a resolved callee's writes are covered
+        by the closure instead) on a sim-state receiver, on a receiver
+        of unknown type, or on a bare name."""
         if site.targets or site.dynamic:
             return None
         func = site.node.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        method = func.attr
-        if method in SANCTIONED_CALLS:
+        if isinstance(func, ast.Attribute):
+            method = func.attr
+            rcv_type = self.graph.infer_type(info, func.value)
+        elif isinstance(func, ast.Name):
+            method, rcv_type = func.id, None
+        else:
             return None
         if method not in MUTATOR_METHODS:
             return None
-        rcv_type = self.graph.infer_type(info, func.value)
         if rcv_type is None:
-            return None
-        cls = self.graph.classes.get(rcv_type)
-        if cls is None or cls.role != "model":
-            return None
-        return Effect(
-            "mutate", f"{cls.name}.{method}()",
-            info.relpath, site.node.lineno,
-        )
+            detail = f"{ast.unparse(func)}()"
+        else:
+            cls = self.graph.classes.get(rcv_type)
+            if cls is None or cls.role != "model":
+                return None
+            detail = f"{cls.name}.{method}()"
+        return Effect("mutate", detail, info.relpath, site.node.lineno)
 
     # -- transitive closure --------------------------------------------------
     def reachable_effects(

@@ -1,11 +1,11 @@
-"""Shared whole-program fact store for the simflow rules.
+"""Shared whole-program fact store for the SL011–SL014 rules.
 
-All four simflow rules consume the same :class:`ProjectGraph`.  The
-engine gives rules one shared mutable object per run — the
-``ProjectIndex`` — so the graph hangs off it: every rule's collect pass
-feeds the same graph (idempotently, via ``add_module_once``), and the
-first rule to need an analysis result builds it into ``graph.memo``
-where the others find it.
+All four whole-program rules consume the same :class:`ProjectGraph`.
+The engine gives rules one shared mutable object per run — the
+``ProjectIndex`` — so the graph hangs off its ``facts``: every rule's
+collect pass feeds the same graph (idempotently, via
+``add_module_once``), and the first rule to need an analysis result
+builds it into ``graph.memo`` where the others find it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ __all__ = ["graph_for", "effects_for", "taint_for"]
 
 def graph_for(project: "ProjectIndex") -> ProjectGraph:
     """The per-run ProjectGraph, created on first use."""
-    graph = getattr(project, "simflow_graph", None)
-    if graph is None:
+    graph = project.facts.get("graph")
+    if not isinstance(graph, ProjectGraph):
         graph = ProjectGraph()
-        project.simflow_graph = graph  # type: ignore[attr-defined]
+        project.facts["graph"] = graph
     return graph
 
 

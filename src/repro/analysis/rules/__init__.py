@@ -1,39 +1,6 @@
-"""simflow rule registry: SL011–SL014.
+"""The whole-program rules, SL011–SL014.
 
-simflow rules subclass the same :class:`repro.lint.registry.Rule` base
-(so suppression pragmas, severity configuration, and the reporters all
-work unchanged) but live in their *own* registry: ``repro.lint``'s
-``all_rules()`` must keep returning exactly the SL001–SL010 set, and
-each front end only judges pragmas for codes it actually runs.
+They register in :mod:`repro.lint.registry` like every other rule and
+share one :class:`~repro.analysis.callgraph.ProjectGraph` per run
+(:mod:`repro.analysis.facts`).  :mod:`repro.lint.rules` imports them.
 """
-
-from __future__ import annotations
-
-from typing import Dict, List, Type
-
-from repro.lint.registry import Rule
-
-__all__ = ["flow_register", "flow_rules"]
-
-_FLOW_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def flow_register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the simflow registry."""
-    if not cls.code or cls.code in _FLOW_REGISTRY:
-        raise ValueError(f"duplicate or empty rule code: {cls.code!r}")
-    _FLOW_REGISTRY[cls.code] = cls
-    return cls
-
-
-def _ensure_loaded() -> None:
-    import repro.analysis.rules.readonly  # noqa: F401
-    import repro.analysis.rules.taint  # noqa: F401
-    import repro.analysis.rules.streams  # noqa: F401
-    import repro.analysis.rules.dims  # noqa: F401
-
-
-def flow_rules() -> List[Rule]:
-    """Fresh instances of every simflow rule, ordered by code."""
-    _ensure_loaded()
-    return [_FLOW_REGISTRY[code]() for code in sorted(_FLOW_REGISTRY)]

@@ -43,9 +43,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 from repro.lint.astutil import ImportMap, resolve_call_name
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule
-
-from repro.analysis.rules import flow_register
+from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
     from repro.lint.engine import FileContext, ProjectIndex
@@ -296,7 +294,7 @@ class _FunctionChecker:
                 self.env[stmt.target.id] = dim
 
 
-@flow_register
+@register
 class DimensionRule(Rule):
     code = "SL014"
     name = "unit-dimensions"

@@ -3,11 +3,12 @@
 The bit-identical-with-observability-off contract (ROADMAP tier-1)
 holds only if nothing under ``obs/`` — and no callback registered on
 ``time_probe``/``on_transfer`` — can mutate simulation state through
-*any* chain of calls.  simlint's SL004/SL005 check the direct cases;
-this rule takes the transitive closure over the whole-program call
-graph, so a probe callback that calls a helper that calls
-``net.set_capacity`` is caught even though no single file shows the
-violation.
+*any* chain of calls.  This rule takes the transitive closure over the
+whole-program call graph, so a probe callback that calls a helper that
+calls ``net.set_capacity`` is caught even though no single file shows
+the violation.  A mutator-named call (``schedule``, ``transfer``,
+``cancel``, ...) counts even when its receiver's type is unknown, so
+``self.sim.schedule(...)`` two helpers deep is caught too.
 
 Sanctioned observation channels (``sim.metrics = ...``,
 ``flow.done._subscribe(...)``, ``net.on_transfer.append(...)``) are
@@ -22,14 +23,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
 
+from repro.analysis.callgraph import FunctionInfo, ProjectGraph
 from repro.analysis.facts import effects_for, graph_for
-from repro.analysis.rules import flow_register
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule
+from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
-    from repro.analysis.callgraph import FunctionInfo
     from repro.lint.engine import FileContext, ProjectIndex
 
 
@@ -38,7 +38,7 @@ def _chain_text(chain: Tuple[str, ...]) -> str:
                        for q in chain)
 
 
-@flow_register
+@register
 class ReadOnlyObservationRule(Rule):
     code = "SL011"
     name = "obs-read-only"
@@ -81,7 +81,8 @@ class ReadOnlyObservationRule(Rule):
                 findings.append(Finding(
                     code=self.code,
                     message=(
-                        f"observation code {verb} {effect.detail} "
+                        f"observation code {_chain_text((entry.qualname,))} "
+                        f"{verb} {effect.detail} "
                         f"({effect.relpath}:{effect.line}){via}; obs must "
                         f"be read-only over simulation state"
                     ),
@@ -109,10 +110,7 @@ class ReadOnlyObservationRule(Rule):
         return findings
 
     @staticmethod
-    def _entry_points(graph: object) -> List["FunctionInfo"]:
-        from repro.analysis.callgraph import ProjectGraph
-
-        assert isinstance(graph, ProjectGraph)
+    def _entry_points(graph: ProjectGraph) -> List[FunctionInfo]:
         entries = {
             info.qualname: info
             for info in graph.functions.values()

@@ -23,7 +23,7 @@ Replayability rests on two conventions around
 Parameters with no discoverable call sites are treated optimistically
 (a public constructor's seed default cannot be judged from here); the
 rule errs on false negatives, never on false positives, matching the
-rest of simflow.
+other whole-program rules.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import FunctionInfo, ProjectGraph, dotted
 from repro.analysis.facts import graph_for
-from repro.analysis.rules import flow_register
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule
+from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
     from repro.lint.engine import FileContext, ProjectIndex
@@ -131,7 +130,7 @@ class _SiteVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@flow_register
+@register
 class StreamDisciplineRule(Rule):
     code = "SL013"
     name = "rng-stream-discipline"

@@ -21,16 +21,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, List
 
 from repro.analysis.facts import graph_for, taint_for
-from repro.analysis.rules import flow_register
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule
+from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
     from repro.lint.engine import FileContext, ProjectIndex
 
 
-@flow_register
+@register
 class DeterminismTaintRule(Rule):
     code = "SL012"
     name = "no-host-taint"

@@ -1,5 +1,5 @@
-"""Small AST helpers shared by the rules: import resolution, dotted
-names, and function iteration."""
+"""Small AST helpers shared by the rules: the wall-clock call table,
+import resolution, dotted names, and function iteration."""
 
 from __future__ import annotations
 
@@ -7,12 +7,30 @@ import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "WALLCLOCK_CALLS",
     "ImportMap",
     "dotted_name",
     "resolve_call_name",
     "iter_functions",
     "block_terminates",
 ]
+
+
+#: fully qualified callables that read the host clock
+WALLCLOCK_CALLS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+})
 
 
 class ImportMap:

@@ -5,8 +5,8 @@ invocations see an unchanged tree.  The cache keys each file's findings
 by ``(mtime_ns, size)`` plus a *configuration fingerprint* — a hash of
 the resolved :class:`~repro.lint.config.LintConfig` and the codes of the
 rules that ran — so editing the file, touching ``pyproject.toml``
-options, or switching rule sets (simlint vs simflow) each invalidate
-exactly what they should.
+options, or switching rule sets (``--select``/``--ignore``) each
+invalidate exactly what they should.
 
 The cache holds *post-suppression* findings: a hit replays precisely
 what a fresh check pass of that file would have produced.  Corrupt or

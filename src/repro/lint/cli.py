@@ -1,19 +1,22 @@
 """Command line front end: ``python -m repro.lint [paths...]``.
 
+One engine pass runs every registered rule: the single-file invariants
+(SL001–SL010) and the whole-program analyses (SL011–SL014).
+
 Exit codes are stable so CI can gate on them:
 
 =====  ===============================================================
 0      no error-severity findings (warnings may exist)
 1      at least one error-severity finding
-2      usage or configuration problem (bad path, malformed config)
+2      usage or configuration problem (bad path, malformed config,
+       unknown rule code)
 =====  ===============================================================
 
 Incremental mode (``--changed-only`` or explicit file arguments with
 ``--cache``) is built for pre-commit hooks: the *collect* pass still
-covers the whole default tree so cross-file rules (SL005's probe
-registry, simflow's call graph) keep their whole-program facts, but
-only the selected files are checked, and unchanged files are served
-from an mtime+config-hash finding cache.
+covers the whole default tree so the whole-program rules keep their
+call graph, but only the selected files are checked, and unchanged
+files are served from an mtime+config-hash finding cache.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from typing import List, Optional, Sequence
 from repro.lint.cache import DEFAULT_CACHE_PATH, FindingCache, config_fingerprint
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine
-from repro.lint.findings import Severity
-from repro.lint.registry import Rule, all_rules
+from repro.lint.registry import Rule, all_rules, known_codes
 from repro.lint.reporters import (
     error_count,
     render_json,
@@ -36,14 +38,21 @@ from repro.lint.reporters import (
     render_text,
 )
 
-__all__ = ["main", "add_common_arguments", "changed_python_files", "run_front_end"]
+__all__ = ["main", "changed_python_files"]
+
+#: the tree the collect pass covers in incremental mode
+DEFAULT_PATHS = ["src"]
 
 
-def add_common_arguments(parser: argparse.ArgumentParser, default_paths: List[str]) -> None:
-    """Arguments shared by the simlint and simflow front ends."""
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.lint",
+        description="simlint: AST invariant and whole-program checker "
+                    "for the repro codebase",
+    )
     parser.add_argument(
-        "paths", nargs="*", default=default_paths,
-        help=f"files or directories to lint (default: {' '.join(default_paths)})",
+        "paths", nargs="*", default=DEFAULT_PATHS,
+        help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit a JSON report on stdout"
@@ -90,6 +99,7 @@ def add_common_arguments(parser: argparse.ArgumentParser, default_paths: List[st
         "--cache-file", metavar="PATH", default=DEFAULT_CACHE_PATH,
         help=f"finding cache location (default: {DEFAULT_CACHE_PATH})",
     )
+    return parser
 
 
 def changed_python_files() -> List[str]:
@@ -120,26 +130,35 @@ def _list_rules(rules: Sequence[Rule]) -> str:
     return "\n".join(lines)
 
 
-def run_front_end(
-    args: argparse.Namespace,
-    rules: List[Rule],
-    tool_name: str,
-    default_paths: List[str],
-) -> int:
-    """Shared driver behind ``python -m repro.lint`` and
-    ``python -m repro.analysis``."""
+def _codes(raw: str) -> List[str]:
+    return [c.strip().upper() for c in raw.split(",") if c.strip()]
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    rules = all_rules()
     if args.list_rules:
         print(_list_rules(rules))
         return 0
     try:
         config = LintConfig() if args.no_config else load_config(args.config)
     except ValueError as err:
-        print(f"{tool_name}: config error: {err}", file=sys.stderr)
+        print(f"simlint: config error: {err}", file=sys.stderr)
         return 2
     if args.select:
-        config.select = [c.strip().upper() for c in args.select.split(",") if c.strip()]
+        config.select = _codes(args.select)
     if args.ignore:
-        config.ignore = [c.strip().upper() for c in args.ignore.split(",") if c.strip()]
+        config.ignore = _codes(args.ignore)
+    unknown = sorted(
+        {*config.select, *config.ignore, *config.severities} - known_codes()
+    )
+    if unknown:
+        print(
+            f"simlint: config error: unknown rule code(s) "
+            f"{', '.join(unknown)} (see --list-rules)",
+            file=sys.stderr,
+        )
+        return 2
     engine = LintEngine(config=config, rules=rules)
 
     targets: Optional[List[str]] = None
@@ -148,20 +167,20 @@ def run_front_end(
         try:
             targets = changed_python_files()
         except (OSError, subprocess.CalledProcessError) as err:
-            print(f"{tool_name}: --changed-only needs git: {err}", file=sys.stderr)
+            print(f"simlint: --changed-only needs git: {err}", file=sys.stderr)
             return 2
         # collect over the default tree; check only the changed files
-        paths = default_paths
+        paths = DEFAULT_PATHS
         if not targets:
-            print(f"{tool_name}: no changed python files")
+            print("simlint: no changed python files")
             return 0
     elif any(Path(p).is_file() for p in paths) and (args.cache and not args.no_cache):
         # explicit file arguments with caching: same incremental shape
         # (collect over the default tree when it exists — outside the
         # repo, fall back to collecting over just the named files)
         targets = [p for p in paths if Path(p).is_file()]
-        if all(Path(d).exists() for d in default_paths):
-            paths = default_paths
+        if all(Path(d).exists() for d in DEFAULT_PATHS):
+            paths = DEFAULT_PATHS
 
     cache: Optional[FindingCache] = None
     if (args.changed_only or args.cache) and not args.no_cache:
@@ -170,13 +189,13 @@ def run_front_end(
         files = engine.discover(paths)
         findings = engine.run(paths, targets=targets, cache=cache)
     except FileNotFoundError as err:
-        print(f"{tool_name}: {err}", file=sys.stderr)
+        print(f"simlint: {err}", file=sys.stderr)
         return 2
     if cache is not None:
         cache.save()
     checked = len(targets) if targets is not None else len(files)
     if args.sarif:
-        sarif = render_sarif(findings, tool_name=tool_name, rules=rules)
+        sarif = render_sarif(findings, rules=rules)
         if args.sarif == "-":
             print(sarif)
         else:
@@ -184,31 +203,14 @@ def run_front_end(
     if args.json:
         print(render_json(findings, checked))
     elif args.sarif != "-":
-        report = render_text(findings, checked, tool_name=tool_name)
+        report = render_text(findings, checked)
         if cache is not None and (cache.hits or cache.misses):
             report += (
-                f"\n{tool_name}: cache {cache.hits} hit(s), "
+                f"\nsimlint: cache {cache.hits} hit(s), "
                 f"{cache.misses} miss(es)"
             )
         print(report)
     return 1 if error_count(findings) else 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="simlint: AST invariant checker for the repro codebase",
-    )
-    add_common_arguments(parser, default_paths=["src"])
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return run_front_end(
-        args, list(all_rules()), tool_name="simlint", default_paths=["src"]
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover - module smoke entry

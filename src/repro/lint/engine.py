@@ -6,11 +6,11 @@ import ast
 import fnmatch
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule, all_rules
+from repro.lint.registry import Rule, all_rules, known_codes
 from repro.lint.suppress import ALL_CODES, SuppressionIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,23 +43,14 @@ class FileContext:
 
 
 class ProjectIndex:
-    """Cross-file facts gathered in the collect pass.
+    """Cross-file facts gathered in the collect pass, one per run.
 
-    ``functions`` maps bare function/method name to every definition site
-    (enough for the one-level call-graph walk SL005 performs);
-    ``probe_callbacks`` maps callback name to the registration sites that
-    assigned it to a ``time_probe`` attribute.
+    The whole-program rules keep their shared call graph in ``facts``
+    (:func:`repro.analysis.facts.graph_for`); single-file rules ignore it.
     """
 
     def __init__(self) -> None:
-        self.functions: Dict[str, List[Tuple[str, ast.AST]]] = {}
-        self.probe_callbacks: Dict[str, List[str]] = {}
-
-    def add_function(self, name: str, relpath: str, node: ast.AST) -> None:
-        self.functions.setdefault(name, []).append((relpath, node))
-
-    def add_probe_callback(self, name: str, site: str) -> None:
-        self.probe_callbacks.setdefault(name, []).append(site)
+        self.facts: Dict[str, object] = {}
 
 
 class LintEngine:
@@ -140,19 +131,19 @@ class LintEngine:
         for ctx in contexts:
             if ctx.tree is None:
                 continue
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    project.add_function(node.name, ctx.relpath, node)
             for rule, severity in active:
                 if severity is not Severity.OFF:
                     rule.collect(ctx, project)
 
-        # codes whose rules actually ran: a pragma for a deselected rule
-        # is out of scope, not stale (simflow shares pragma syntax with
-        # simlint, so each front end only judges its own codes)
-        active_codes = {
+        # a pragma for a registered rule that did not run is out of
+        # scope, not stale; one naming an unknown code is always stale
+        known = known_codes()
+        out_of_scope = known - {
             rule.code for rule, severity in active if severity is not Severity.OFF
         }
+        # SL008 is the engine's own check: --select picks rules, not it
+        sl008 = (Severity.OFF if "SL008" in self.config.ignore
+                 else self.config.severities.get("SL008", Severity.ERROR))
         for ctx in contexts:
             if target_set is not None and ctx.relpath not in target_set:
                 continue
@@ -183,11 +174,15 @@ class LintEngine:
                     if ctx.suppressions.suppresses(finding.code, finding.line):
                         continue
                     file_findings.append(finding)
-            sl008 = self.config.severity_for("SL008", Severity.ERROR)
             if sl008 is not Severity.OFF:
-                for sup, stale in ctx.suppressions.unused(active_codes):
+                for sup, stale in ctx.suppressions.unused(out_of_scope):
                     for code in stale:
-                        label = "all rules" if code == ALL_CODES else code
+                        if code == ALL_CODES:
+                            label = "all rules"
+                        elif code not in known:
+                            label = f"{code}, not a known rule code"
+                        else:
+                            label = code
                         file_findings.append(Finding(
                             code="SL008",
                             message=(

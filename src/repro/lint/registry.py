@@ -2,15 +2,15 @@
 
 A rule declares a code (``SL00x``), a short name, and a default
 severity, and implements ``check`` over a parsed file.  Rules that need
-cross-file knowledge (SL005's probe registry) additionally implement
-``collect``, which the engine runs over *every* file before any
+cross-file knowledge (the whole-program SL011–SL014) additionally
+implement ``collect``, which the engine runs over *every* file before any
 ``check`` call — a classic two-pass design so single-file rules stay
 trivially simple while call-graph rules see the whole project.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Type
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Type
 
 from repro.lint.findings import Finding, Severity
 
@@ -18,7 +18,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.config import LintConfig
     from repro.lint.engine import FileContext, ProjectIndex
 
-__all__ = ["Rule", "register", "all_rules", "get_rule"]
+__all__ = ["Rule", "register", "all_rules", "get_rule", "known_codes"]
+
+#: codes the engine itself emits: unreadable/unparseable file, unused
+#: suppression
+ENGINE_CODES = frozenset({"SL000", "SL008"})
 
 
 class Rule:
@@ -73,6 +77,12 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, ordered by code."""
     _ensure_loaded()
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
+
+
+def known_codes() -> FrozenSet[str]:
+    """Every code a finding can carry: the registry plus the engine's."""
+    _ensure_loaded()
+    return ENGINE_CODES | frozenset(_REGISTRY)
 
 
 def get_rule(code: str) -> Rule:

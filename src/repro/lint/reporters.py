@@ -28,20 +28,18 @@ def warning_count(findings: Sequence[Finding]) -> int:
     return sum(1 for f in findings if f.severity is Severity.WARNING)
 
 
-def render_text(
-    findings: Sequence[Finding], checked_files: int, tool_name: str = "simlint"
-) -> str:
+def render_text(findings: Sequence[Finding], checked_files: int) -> str:
     """One line per finding plus a summary, grep- and IDE-friendly."""
     lines: List[str] = [f.render() for f in findings]
     errors = error_count(findings)
     warnings = warning_count(findings)
     if errors or warnings:
         lines.append(
-            f"{tool_name}: {errors} error(s), {warnings} warning(s) "
+            f"simlint: {errors} error(s), {warnings} warning(s) "
             f"in {checked_files} file(s)"
         )
     else:
-        lines.append(f"{tool_name}: clean ({checked_files} file(s) checked)")
+        lines.append(f"simlint: clean ({checked_files} file(s) checked)")
     return "\n".join(lines)
 
 
@@ -62,7 +60,6 @@ _SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 def render_sarif(
     findings: Sequence[Finding],
-    tool_name: str = "simlint",
     rules: Optional[Sequence[Rule]] = None,
 ) -> str:
     """SARIF 2.1.0 report, consumable by GitHub code scanning.
@@ -118,7 +115,7 @@ def render_sarif(
         "runs": [{
             "tool": {
                 "driver": {
-                    "name": tool_name,
+                    "name": "simlint",
                     "informationUri": "https://github.com/repro/repro",
                     "rules": [rule_meta[code] for code in ordered_ids],
                 },

@@ -1,4 +1,5 @@
-"""Built-in rule set.  Importing this package registers every rule."""
+"""Built-in rule set.  Importing this package registers every rule,
+the whole-program SL011–SL014 under :mod:`repro.analysis.rules` too."""
 
 from repro.lint.rules import (  # noqa: F401
     dataloss,
@@ -7,7 +8,7 @@ from repro.lint.rules import (  # noqa: F401
     floateq,
     ledger,
     obsguard,
-    probe,
     rng,
     wallclock,
 )
+from repro.analysis.rules import dims, readonly, streams, taint  # noqa: F401,E402

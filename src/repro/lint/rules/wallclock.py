@@ -14,29 +14,13 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
-from repro.lint.astutil import ImportMap, resolve_call_name
+from repro.lint.astutil import WALLCLOCK_CALLS, ImportMap, resolve_call_name
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
     from repro.lint.engine import FileContext, ProjectIndex
-
-#: fully qualified callables that read the host clock
-WALLCLOCK_CALLS = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-})
 
 
 @register

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 __all__ = ["Suppression", "SuppressionIndex", "ALL_CODES"]
 
@@ -49,17 +49,14 @@ class Suppression:
     def matches(self, code: str) -> bool:
         return ALL_CODES in self.codes or code in self.codes
 
-    def unused_codes(self, active: Optional[Set[str]] = None) -> List[str]:
-        """Codes this pragma names that silenced nothing, restricted to
-        ``active`` (the rules that actually ran) when given.  A bare
+    def unused_codes(self, out_of_scope: AbstractSet[str] = frozenset()) -> List[str]:
+        """Codes this pragma names that silenced nothing, except those
+        ``out_of_scope`` (registered rules that did not run).  A bare
         ``disable`` pragma reports as ``[ALL_CODES]`` when wholly unused.
         """
         if ALL_CODES in self.codes:
             return [] if self.used else [ALL_CODES]
-        stale = self.codes - self.used
-        if active is not None:
-            stale &= active
-        return sorted(stale)
+        return sorted(self.codes - self.used - out_of_scope)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Suppression line={self.line} codes={sorted(self.codes)}>"
@@ -101,14 +98,14 @@ class SuppressionIndex:
             return True
         return False
 
-    def unused(self, active: Optional[Set[str]] = None) -> List[Tuple[Suppression, List[str]]]:
+    def unused(self, out_of_scope: AbstractSet[str] = frozenset()) -> List[Tuple[Suppression, List[str]]]:
         """``(pragma, stale codes)`` for every pragma naming at least one
-        code that silenced nothing.  ``active`` restricts the judgement
-        to rules that actually ran — a pragma for a deselected rule is
-        not stale, it was simply out of scope for this run."""
+        code that silenced nothing.  A code in ``out_of_scope`` -- a
+        registered rule that did not run -- is not stale, it was simply
+        out of scope for this run; an unknown code always is."""
         out: List[Tuple[Suppression, List[str]]] = []
         for sup in self._by_line.values():
-            stale = sup.unused_codes(active)
+            stale = sup.unused_codes(out_of_scope)
             if stale:
                 out.append((sup, stale))
         return out

@@ -1,21 +1,24 @@
-"""simflow (SL011-SL014): positive and negative fixtures per rule,
-shared-graph mechanics, and the CLI front end."""
+"""The whole-program rules (SL011-SL014): positive and negative
+fixtures per rule, shared-graph mechanics, and their CLI reports."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis.cli import main as flow_main
-from repro.analysis.rules import flow_rules
+from repro.lint.cli import main as lint_main
 from repro.lint.config import LintConfig
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Severity
+from repro.lint.registry import get_rule
+
+FLOW_CODES = ("SL011", "SL012", "SL013", "SL014")
 
 
 @pytest.fixture()
 def flow(tmp_path, monkeypatch):
-    """Write a {relpath: source} dict into a tmp tree and run simflow."""
+    """Write a {relpath: source} dict into a tmp tree and run the
+    whole-program rules over it."""
 
     def run(files, config=None, paths=None):
         for rel, src in files.items():
@@ -23,7 +26,8 @@ def flow(tmp_path, monkeypatch):
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_text(textwrap.dedent(src))
         monkeypatch.chdir(tmp_path)
-        engine = LintEngine(config=config or LintConfig(), rules=flow_rules())
+        rules = [get_rule(code) for code in FLOW_CODES]
+        engine = LintEngine(config=config or LintConfig(), rules=rules)
         return engine.run(paths or ["."])
 
     return run
@@ -79,6 +83,24 @@ def test_sl011_transitive_write_reports_chain(flow):
     # both the entry point and the helper (itself obs code) are flagged
     assert sl011
     assert any("via" in f.message for f in sl011)
+    # a probe reaching an untyped mutator through two helpers (the
+    # one-helper case is test_simlint's SL005 walk fixture)
+    findings = flow({"chain/model.py": """
+        class Sampler:
+            def on_advance(self, t):
+                self._a()
+
+            def _a(self):
+                self._b()
+
+            def _b(self):
+                self.sim.schedule(0.0, self._cb)
+
+        def attach(sim, sampler):
+            sim.time_probe = sampler.on_advance
+    """}, paths=["chain"])
+    assert codes(findings) == ["SL011"]
+    assert "on_advance -> _a -> _b" in findings[0].message
 
 
 def test_sl011_mutator_call_fires(flow):
@@ -126,6 +148,32 @@ def test_sl011_probe_callback_checked(flow):
         """,
     })
     assert "SL011" in codes(findings)
+    # mutator-named calls count on receivers the graph cannot type and
+    # on bare names, on either channel (the time_probe method and lambda
+    # cases are test_simlint's SL005 fixtures)
+    for name, src in UNTYPED_CALLBACK_MUTATIONS.items():
+        findings = flow({f"{name}/model.py": src}, paths=[name])
+        assert codes(findings) == ["SL011"], name
+
+
+#: observation callbacks that mutate through an untyped receiver
+UNTYPED_CALLBACK_MUTATIONS = {
+    "on_transfer": """
+        class Recorder:
+            def on_flow(self, flow):
+                self.sim.schedule(0.0, self._cb)
+
+        def attach(net, recorder):
+            net.on_transfer.append(recorder.on_flow)
+    """,
+    "bare": """
+        def on_advance(t):
+            schedule(0.0, t)
+
+        def attach(sim):
+            sim.time_probe = on_advance
+    """,
+}
 
 
 def test_sl011_dynamic_call_degrades_to_warning(flow):
@@ -460,8 +508,8 @@ def test_simflow_pragma_suppression(flow):
 
 
 def test_simflow_does_not_flag_simlint_pragmas_as_unused(flow):
-    # SL001 belongs to the simlint front end; its pragma is out of
-    # scope here, not stale
+    # SL001 is registered but did not run in this pass (the fixture
+    # runs SL011-SL014 only): its pragma is out of scope, not stale
     findings = flow({
         "sim/model.py": """
             def f(t):
@@ -469,15 +517,6 @@ def test_simflow_does_not_flag_simlint_pragmas_as_unused(flow):
         """,
     })
     assert findings == []
-
-
-def test_flow_rules_registry_is_separate():
-    from repro.lint.registry import all_rules
-
-    flow_codes = {r.code for r in flow_rules()}
-    lint_codes = {r.code for r in all_rules()}
-    assert flow_codes == {"SL011", "SL012", "SL013", "SL014"}
-    assert flow_codes.isdisjoint(lint_codes)
 
 
 # ---------------------------------------------------------- CLI layer
@@ -493,7 +532,7 @@ def _write(tmp_path, rel, src):
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "obs/clean.py", "def f(x):\n    return x\n")
-    assert flow_main(["--no-config", "obs"]) == 0
+    assert lint_main(["--no-config", "obs"]) == 0
     _write(tmp_path, "sim/core.py", textwrap.dedent(SIM_CORE))
     _write(tmp_path, "obs/bad.py", textwrap.dedent("""
         from sim.core import Simulator
@@ -501,14 +540,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         def snapshot(sim: Simulator):
             sim.now = 0.0
     """))
-    assert flow_main(["--no-config", "."]) == 1
+    assert lint_main(["--no-config", "."]) == 1
     out = capsys.readouterr().out
-    assert "simflow:" in out
+    assert "simlint:" in out
     assert "SL011" in out
 
 
 def test_cli_list_rules(capsys):
-    assert flow_main(["--list-rules"]) == 0
+    assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("SL011", "SL012", "SL013", "SL014"):
         assert code in out
@@ -522,16 +561,18 @@ def test_cli_sarif_report(tmp_path, monkeypatch, capsys):
         def build():
             return RngStreams(seed=7)
     """))
-    assert flow_main(["--no-config", "--sarif", "-", "."]) == 1
+    assert lint_main(["--no-config", "--sarif", "-", "."]) == 1
     doc = json.loads(capsys.readouterr().out)
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simflow"
+    assert run["tool"]["driver"]["name"] == "simlint"
     assert [r["ruleId"] for r in run["results"]] == ["SL013"]
 
 
-def test_cli_repository_tree_is_clean():
-    """The merged tree must pass simflow: src, tools and examples."""
+def test_cli_repository_tree_is_clean(capsys):
+    """The merged tree must pass the CI lint step: src, tools and examples."""
     import pathlib
 
     repo = pathlib.Path(__file__).resolve().parent.parent
-    assert flow_main(["--no-config", str(repo / "src")]) == 0
+    paths = [str(repo / d) for d in ("src", "tools", "examples")]
+    assert lint_main(["--config", str(repo / "pyproject.toml"), *paths]) == 0
+    assert "simlint: clean" in capsys.readouterr().out

@@ -307,6 +307,7 @@ def test_sl004_guard_does_not_leak_into_else(lint):
 
 
 # ---------------------------------------------------------------- SL005
+# SL005 is retired; SL011 checks the same probe callbacks at any depth.
 
 
 def test_sl005_probe_scheduling_fires(lint):
@@ -318,7 +319,7 @@ def test_sl005_probe_scheduling_fires(lint):
         def attach(sim, sampler):
             sim.time_probe = sampler.on_advance
     """})
-    assert codes(findings) == ["SL005"]
+    assert codes(findings) == ["SL011"]
     assert "on_advance" in findings[0].message
 
 
@@ -334,8 +335,9 @@ def test_sl005_one_level_walk_fires(lint):
         def attach(sim, sampler):
             sim.time_probe = sampler.on_advance
     """})
-    assert codes(findings) == ["SL005"]
+    assert codes(findings) == ["SL011"]
     assert "_flush" in findings[0].message
+    assert "self.net.transfer()" in findings[0].message
 
 
 def test_sl005_pure_probe_clean(lint):
@@ -355,7 +357,7 @@ def test_sl005_lambda_registration_fires(lint):
         def attach(sim, net, flow):
             sim.time_probe = lambda t: net.cancel(flow)
     """})
-    assert codes(findings) == ["SL005"]
+    assert codes(findings) == ["SL011"]
 
 
 def test_sl005_unregistered_function_clean(lint):
@@ -710,8 +712,39 @@ def test_cli_json_report(tmp_path, monkeypatch, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007"):
-        assert code in out
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == [
+        "SL001", "SL002", "SL003", "SL004", "SL006", "SL007", "SL009",
+        "SL010", "SL011", "SL012", "SL013", "SL014",
+    ]
+    assert "SL005" not in out
+
+
+@pytest.mark.parametrize("argv, severity, unknown", [
+    (["--select", "SL02"], None, "SL02"),
+    (["--select", "SL002,SL005"], None, "SL005"),
+    (["--ignore", "SL099"], None, "SL099"),
+    ([], "SL005", "SL005"),
+    # the engine's own codes are known too
+    (["--select", "SL000,SL002"], "SL008", None),
+], ids=["select-typo", "select-retired", "ignore-unknown", "severity-retired",
+        "engine-codes"])
+def test_cli_rule_codes_are_validated(tmp_path, monkeypatch, capsys,
+                                      argv, severity, unknown):
+    monkeypatch.chdir(tmp_path)
+    if severity is not None:
+        _write(tmp_path, "pyproject.toml", f"""
+            [tool.simlint.severity]
+            {severity} = "warning"
+        """)
+    _write(tmp_path, "clean.py", "def f():\n    return 1\n")
+    exit_code = lint_main([*argv, "clean.py"])
+    err = capsys.readouterr().err
+    if unknown is None:
+        assert exit_code == 0 and err == ""
+    else:
+        assert exit_code == 2
+        assert "config error" in err and unknown in err
 
 
 # -------------------------------------- per-code pragma accounting
@@ -737,11 +770,30 @@ def test_multi_code_pragma_all_stale_reports_each_code(lint):
     assert mentioned == {"SL001", "SL003"}
 
 
-def test_pragma_for_other_front_ends_code_not_stale(lint):
-    # SL011-SL014 belong to simflow; simlint must not judge them
+def test_pragma_for_whole_program_code_is_stale(lint):
+    # SL011-SL014 run in the same pass, so their pragmas are judged too
     findings = lint({"model.py": """
         x = 1  # simlint: disable=SL014
     """})
+    assert codes(findings) == ["SL008"]
+    assert "SL014" in findings[0].message
+
+
+@pytest.mark.parametrize("code", ["SL099", "SL005"])
+def test_pragma_for_unknown_code_is_stale_whatever_is_selected(lint, code):
+    src = {"model.py": f"""
+        x = 1  # simlint: disable={code}
+    """}
+    for config in (None, LintConfig(select=["SL002"])):
+        findings = lint(src, config=config)
+        assert codes(findings) == ["SL008"]
+        assert f"{code}, not a known rule code" in findings[0].message
+
+
+def test_pragma_for_deselected_code_is_out_of_scope(lint):
+    findings = lint({"model.py": """
+        x = 1  # simlint: disable=SL006
+    """}, config=LintConfig(select=["SL002"]))
     assert findings == []
 
 

@@ -21,6 +21,7 @@ see ``repro.workloads``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Generator, Optional
 
 import numpy as np
@@ -60,8 +61,15 @@ def cohort_weight(w: float, n: int) -> float:
     accumulates strictly left to right.  See docs/PERFORMANCE.md.
     """
     if n <= _EXACT_COHORT_SUM:
-        return float(np.cumsum(np.full(n, w))[-1])
+        return _exact_fold(w, n)
     return n * w
+
+
+@lru_cache(maxsize=1024)
+def _exact_fold(w: float, n: int) -> float:
+    """The left-to-right fold of ``n`` copies of ``w``; pure, so cached
+    per ``(w, n)`` — a run asks for only a handful of distinct pairs."""
+    return float(np.cumsum(np.full(n, w))[-1])
 
 
 class DaosClient:

@@ -250,9 +250,10 @@ class Observability:
             self._sampler.finish(elapsed)
         self.tracer.record("sim.run", "sim", 0.0, elapsed, tid=TID_SIM)
         if elapsed > 0:
+            busy = cluster.net.busy_integrals()
             for link in cluster.net.links:
                 acc = self.link_stats.setdefault(link.name, [0.0, 0.0])
-                acc[0] += link.busy_integral
+                acc[0] += float(busy[link.index])
                 acc[1] += link.capacity * elapsed
 
     # -- cross-process merge -------------------------------------------------

@@ -202,16 +202,17 @@ class TimelineSampler:
         net = self.net
         window = t - self._last_t
         values: Dict[str, float] = {}
-        # Exact busy integral at t: recorded integral at the last network
+        # Exact busy integral at t: the integral as of the last network
         # sync plus rate * (t - sync); rates are constant in between.
         extrapolate = t - net._last_advance
         rates = self._link_rates()
+        busy_at_sync = net.busy_integrals()
         include_devices = self.config.include_devices
         for link in net.links:
             name = link.name
             if not include_devices and _DEVICE_LINK.search(name):
                 continue
-            busy = link.busy_integral + rates.get(name, 0.0) * extrapolate
+            busy = float(busy_at_sync[link.index]) + rates.get(name, 0.0) * extrapolate
             prev = self._prev_busy.get(name, 0.0)
             self._prev_busy[name] = busy
             if window > 0:

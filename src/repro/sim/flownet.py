@@ -44,9 +44,15 @@ differently (~1 ulp) — the byte-identical series contract forbids that.
 Two arithmetically identical solver bodies are kept: a vectorised one
 (NumPy bincount over the incidence, one filling pass is O(nnz)) for
 large populations and a scalar one for small ones, where interpreter
-loops beat ufunc dispatch overhead.  Both execute the same IEEE-754
-operation sequence, so which one runs never changes a single bit of any
-rate (guarded by tests/test_flownet.py).
+loops beat ufunc dispatch overhead.  The scalar one runs on dense local
+link ids (the solve's links renumbered 0..L-1) with per-flow edge runs
+and per-link flow lists; in the same small-population regime the
+per-event bodies work on Python floats read once with ``tolist()``, and
+departures compact the arrays with one slice copy per run of surviving
+rows.
+Both solvers execute the same IEEE-754 operation sequence, so which one
+runs never changes a single bit of any rate (guarded by
+tests/test_flownet.py).
 
 Event integration
 -----------------
@@ -55,7 +61,10 @@ at its current rate.  On any arrival or departure the network advances
 all flows to "now", recomputes the allocation, and reschedules a single
 next-completion event.  Completions within ``time_epsilon`` of each other
 are batched into one event to avoid reallocation storms when symmetric
-processes finish together.
+processes finish together.  Link busy integrals, which only observability
+reads, are settled once per departing flow (``weight * (size -
+remaining)`` on each of its links) instead of at every event; see
+:meth:`FlowNetwork.busy_integrals`.
 """
 
 from __future__ import annotations
@@ -76,9 +85,9 @@ _INF = math.inf
 class Link:
     """A shared capacity (bytes/s or ops/s) inside the flow network.
 
-    Capacity and the busy integral are views into the owning network's
-    link arrays (the vectorised hot paths read and write those arrays
-    directly); change capacity through :meth:`FlowNetwork.set_capacity`.
+    Capacity is a view into the owning network's link arrays (the
+    vectorised hot paths read and write them directly); change it
+    through :meth:`FlowNetwork.set_capacity`.
     """
 
     __slots__ = ("name", "index", "_net")
@@ -100,8 +109,9 @@ class Link:
 
     @property
     def busy_integral(self) -> float:
-        """Integral of (consumed units) over time, for utilisation reports."""
-        return float(self._net._l_busy[self.index])
+        """Integral of (consumed units) over time, for utilisation reports,
+        as of the network's last sync (see :meth:`FlowNetwork.busy_integrals`)."""
+        return float(self._net.busy_integrals()[self.index])
 
     def mean_utilization(self, elapsed: float) -> float:
         """Average fraction of capacity used over ``elapsed`` seconds."""
@@ -118,7 +128,8 @@ class Flow:
 
     While active, ``remaining`` and ``rate`` live in the network's flow
     arrays (row ``_row``); on completion or cancellation the final values
-    are written back to the object and the row is released.
+    are written back to the object, the flow's progress is settled into
+    its links' busy integrals, and the row is released.
     """
 
     __slots__ = (
@@ -126,6 +137,7 @@ class Flow:
         "size",
         "links",
         "weights",
+        "_lidx",
         "demand_cap",
         "done",
         "started_at",
@@ -144,6 +156,7 @@ class Flow:
         size: float,
         links: list[Link],
         weights: np.ndarray,
+        lidx: np.ndarray,
         demand_cap: float,
         done: Signal,
         started_at: float,
@@ -152,6 +165,8 @@ class Flow:
         self.size = float(size)
         self.links = links
         self.weights = weights
+        #: ``links``' indices (unique), for fancy-indexed link updates
+        self._lidx = lidx
         self.demand_cap = float(demand_cap)
         self.done = done
         self.started_at = started_at
@@ -201,12 +216,18 @@ class Flow:
             net._f_rate[self._row] = value
 
     def _detach(self) -> None:
-        """Capture array state into the object and release the row."""
+        """Capture array state into the object, settle the progress made
+        into the links' busy integrals, and release the row."""
         net = self._net
         if net is not None:
             row = self._row
-            self._remaining_f = float(net._f_rem[row])
+            rem = float(net._f_rem[row])
+            self._remaining_f = rem
             self._rate_f = float(net._f_rate[row])
+            if self.links:
+                # links are unique after transfer()'s duplicate merge, so
+                # one fancy-index add settles every link
+                net._l_busy[self._lidx] += self.weights * (self.size - rem)
             self._net = None
             self._row = -1
 
@@ -252,7 +273,8 @@ class FlowNetwork:
         #: event ordering, or modelled bandwidths.  Enabled by
         #: ``repro.obs`` for critical-path attribution.
         self.track_binding = False
-        # link arrays (index == Link.index); _l_refs counts incident
+        # link arrays (index == Link.index); _l_busy holds the busy
+        # integrals settled by departed flows; _l_refs counts incident
         # edges of active flows, which makes the dirty-set skip test O(1)
         # per dirty link
         self._l_cap = np.empty(16, dtype=float)
@@ -311,6 +333,24 @@ class FlowNetwork:
     def active_flows(self) -> list[Flow]:
         return list(self._active)
 
+    def busy_integrals(self) -> np.ndarray:
+        """Every link's busy integral (consumed units x seconds), indexed
+        by ``Link.index``, as of the last sync: what departed flows
+        settled plus each active flow's ``weight * (size - remaining)``.
+        One bincount over the active edges, so O(links + edges)."""
+        nlinks = len(self._links)
+        busy = self._l_busy[:nlinks].copy()
+        ne = self._ne
+        if ne:
+            n = self._nf
+            done = self._f_size[:n] - self._f_rem[:n]
+            busy += np.bincount(
+                self._e_lidx[:ne],
+                weights=self._e_wgt[:ne] * done[self._fidx()],
+                minlength=nlinks,
+            )
+        return busy
+
     def set_capacity(self, name: str, capacity: float) -> None:
         """Change a link's capacity (failure injection / degraded mode)."""
         if capacity <= 0:
@@ -342,6 +382,7 @@ class FlowNetwork:
             raise SimulationError(f"flow size must be >= 0, got {size}")
         links = []
         weight_list = []
+        index_list: list[int] = []
         seen: set[int] = set()
         merged: Optional[dict[int, float]] = None
         for link, weight in usages:
@@ -355,6 +396,7 @@ class FlowNetwork:
                 break
             seen.add(i)
             links.append(link)
+            index_list.append(i)
             weight_list.append(float(weight))
         else:
             merged = {}
@@ -371,7 +413,8 @@ class FlowNetwork:
                 merged[link.index] = merged.get(link.index, 0.0) + float(weight)
                 link_by_index[link.index] = link
             links = [link_by_index[i] for i in merged]
-            weights = np.array([merged[link.index] for link in links], dtype=float)
+            index_list = list(merged)
+            weights = np.array([merged[i] for i in index_list], dtype=float)
         else:
             weights = np.array(weight_list, dtype=float)
         if not links and not math.isfinite(demand_cap):
@@ -379,7 +422,8 @@ class FlowNetwork:
                 f"flow {name!r} has no links and no demand cap: rate would be infinite"
             )
         done = self.sim.signal(name=f"{name}.done")
-        flow = Flow(name, size, links, weights, demand_cap, done, started_at=self.sim.now)
+        lidx = np.array(index_list, dtype=np.intp)
+        flow = Flow(name, size, links, weights, lidx, demand_cap, done, started_at=self.sim.now)
         if self.track_binding:
             flow.bound_time = {}
         if size == 0:
@@ -447,23 +491,20 @@ class FlowNetwork:
         if ne + k > self._e_lidx.size:
             self._e_lidx = self._grow(self._e_lidx, ne + k)
             self._e_wgt = self._grow(self._e_wgt, ne + k)
-        dirty = self._dirty_links
-        refs = self._l_refs
-        if k > 8:
-            # links are unique after transfer()'s duplicate merge, so a
-            # fancy-index increment is a correct refcount update
-            idx = np.fromiter((link.index for link in flow.links), dtype=np.intp, count=k)
-            self._e_lidx[ne : ne + k] = idx
-            refs[idx] += 1
-            dirty.update(idx.tolist())
-        else:
-            for j, link in enumerate(flow.links):
-                i = link.index
-                self._e_lidx[ne + j] = i
-                refs[i] += 1
-                dirty.add(i)
         if k:
+            idx = flow._lidx
+            self._e_lidx[ne : ne + k] = idx
             self._e_wgt[ne : ne + k] = flow.weights
+            ids = idx.tolist()
+            self._dirty_links.update(ids)
+            refs = self._l_refs
+            if k > 8:
+                # links are unique after transfer()'s duplicate merge, so a
+                # fancy-index increment is a correct refcount update
+                refs[idx] += 1
+            else:
+                for i in ids:
+                    refs[i] += 1
         else:
             self._dirty_flows.add(flow)
         self._f_rem[row] = flow.remaining
@@ -492,39 +533,41 @@ class FlowNetwork:
         refs = self._l_refs
         ecnt = self._f_ecnt
         lidx = self._e_lidx
+        first = min(rows)
         if n <= self._SCALAR_MAX_FLOWS and ne <= self._SCALAR_MAX_EDGES:
+            # rows and edges before ``first`` stay put; each later run
+            # of kept rows moves down with one slice copy per array
             rowset = set(rows)
+            counts = ecnt[:n].tolist()
             wgt = self._e_wgt
-            rem = self._f_rem
-            rate = self._f_rate
-            fcap = self._f_cap
-            fsize = self._f_size
-            src_e = 0
-            dst_e = 0
-            dst = 0
-            for i in range(n):
-                k = int(ecnt[i])
+            row_arrays = (self._f_rem, self._f_rate, self._f_cap, self._f_size, ecnt)
+            src_e = dst_e = sum(counts[:first])
+            dst = first
+            i = first
+            while i < n:
+                k = counts[i]
                 if i in rowset:
-                    for e in range(src_e, src_e + k):
-                        li = int(lidx[e])
+                    for li in lidx[src_e : src_e + k].tolist():
                         refs[li] -= 1
                         dirty.add(li)
-                else:
-                    if dst_e != src_e:
-                        for e in range(k):
-                            lidx[dst_e + e] = lidx[src_e + e]
-                            wgt[dst_e + e] = wgt[src_e + e]
-                    if dst != i:
-                        rem[dst] = rem[i]
-                        rate[dst] = rate[i]
-                        fcap[dst] = fcap[i]
-                        fsize[dst] = fsize[i]
-                        ecnt[dst] = k
-                    dst_e += k
-                    dst += 1
+                    src_e += k
+                    i += 1
+                    continue
+                j = i + 1
+                while j < n and j not in rowset:
+                    k += counts[j]
+                    j += 1
+                if dst != i:
+                    for arr in row_arrays:
+                        arr[dst : dst + j - i] = arr[i:j]
+                    lidx[dst_e : dst_e + k] = lidx[src_e : src_e + k]
+                    wgt[dst_e : dst_e + k] = wgt[src_e : src_e + k]
+                dst += j - i
+                dst_e += k
                 src_e += k
+                i = j
             new_n = dst
-            self._ne = dst_e
+            new_ne = dst_e
         else:
             keep = np.ones(n, dtype=bool)
             keep[list(rows)] = False
@@ -533,7 +576,7 @@ class FlowNetwork:
             if dropped.size:
                 drop_idx, drop_cnt = np.unique(dropped, return_counts=True)
                 refs[drop_idx] -= drop_cnt
-                dirty.update(int(i) for i in drop_idx)
+                dirty.update(drop_idx.tolist())
             new_ne = int(edge_keep.sum())
             if new_ne != ne:
                 lidx[:new_ne] = lidx[:ne][edge_keep]
@@ -542,10 +585,9 @@ class FlowNetwork:
             for attr in ("_f_rem", "_f_rate", "_f_cap", "_f_size", "_f_ecnt"):
                 arr = getattr(self, attr)
                 arr[:new_n] = arr[:n][keep]
-            self._ne = new_ne
+        self._ne = new_ne
         self._nf = new_n
         self._fidx_cache = None
-        first = min(rows)
         active = self._active
         for i in range(first, new_n):
             active[i]._row = i
@@ -567,36 +609,15 @@ class FlowNetwork:
         dt = now - self._last_advance
         n = self._nf
         if dt > 0 and n:
-            ne = self._ne
-            if n <= self._SCALAR_MAX_FLOWS and ne <= self._SCALAR_MAX_EDGES:
-                rem = self._f_rem
-                busy = self._l_busy
-                rates = self._f_rate[:n].tolist()
-                for i in range(n):
-                    r = rates[i]
+            if n <= self._SCALAR_MAX_FLOWS:
+                rem = self._f_rem[:n].tolist()
+                for i, r in enumerate(self._f_rate[:n].tolist()):
                     if r != 0.0:  # exact: a zero rate leaves remaining untouched
-                        v = float(rem[i]) - r * dt
+                        v = rem[i] - r * dt
                         rem[i] = v if v > 0.0 else 0.0
-                if ne:
-                    lidx = self._e_lidx[:ne].tolist()
-                    wgt = self._e_wgt[:ne].tolist()
-                    fidx = self._fidx().tolist()
-                    for e in range(ne):
-                        r = rates[fidx[e]]
-                        if r != 0.0:  # exact: skipping a +0.0 busy add is a no-op
-                            busy[lidx[e]] += r * wgt[e] * dt
+                self._f_rem[:n] = rem
             else:
-                rate = self._f_rate[:n]
-                self._f_rem[:n] = np.maximum(0.0, self._f_rem[:n] - rate * dt)
-                if ne:
-                    # np.add.at accumulates in element order — the same
-                    # per-link addition sequence as a per-flow loop
-                    fidx = self._fidx()
-                    np.add.at(
-                        self._l_busy,
-                        self._e_lidx[:ne],
-                        rate[fidx] * self._e_wgt[:ne] * dt,
-                    )
+                self._f_rem[:n] = np.maximum(0.0, self._f_rem[:n] - self._f_rate[:n] * dt)
             if self.track_binding:
                 for flow in self._active:
                     if flow.bound_time is not None:
@@ -728,104 +749,137 @@ class FlowNetwork:
         :meth:`_solve_vector` — per-link weight sums accumulate in edge
         order (bincount order), reductions take the same elements — so
         the two are bitwise interchangeable; only the constant factor
-        differs.
+        differs.  The solve's links are renumbered 0..L-1 in
+        first-appearance order; each flow keeps its run of
+        ``(local link, weight)`` pairs and each link its flow list, so
+        a round sums only unfrozen flows' runs and freezes through the
+        saturated links' flow lists.  Every unfrozen flow has grown by
+        the same increments since the first round, so their common rate
+        is one running ``level``, and only flows with a finite demand
+        cap can bound a round or freeze at their cap (an infinite cap's
+        slack is infinite), so the cap scans visit just those.
         """
         lidx = self._e_lidx[:ne].tolist()
         wgt = self._e_wgt[:ne].tolist()
-        fidx = self._fidx().tolist()
+        counts = self._f_ecnt[:n].tolist()
         caps = self._f_cap[:n].tolist()
+        capped = [i for i, c in enumerate(caps) if c < _INF]
         l_cap = self._l_cap
-        cap_left: dict[int, float] = {}
-        for li in lidx:
-            if li not in cap_left:
-                cap_left[li] = float(l_cap[li])
+        local: dict[int, int] = {}
+        glob: list[int] = []
+        link_flows: list[list[int]] = []
+        # first-round per-link weights: every flow is unfrozen, so this
+        # edge-order pass is exactly the round's accumulation
+        w_all: list[float] = []
+        runs: list[list[tuple[int, float]]] = []
+        e = 0
+        for i, k in enumerate(counts):
+            run = []
+            for j in range(e, e + k):
+                g = lidx[j]
+                w = wgt[j]
+                li = local.get(g)
+                if li is None:
+                    li = local[g] = len(glob)
+                    glob.append(g)
+                    link_flows.append([i])
+                    w_all.append(0.0 + w)
+                else:
+                    link_flows[li].append(i)
+                    w_all[li] += w
+                run.append((li, w))
+            runs.append(run)
+            e += k
+        nl = len(glob)
+        cap_left = [float(l_cap[g]) for g in glob]
         rate = [0.0] * n
         unfrozen = [True] * n
-        n_unfrozen = n
+        live = list(range(n))
+        level = 0.0
         tol = 1e-9
-        for _ in range(nlinks + n + 1):
-            if not n_unfrozen:
+        for rnd in range(nlinks + n + 1):
+            if not live:
                 break
-            w_per_link: dict[int, float] = {}
-            for e in range(ne):
-                if unfrozen[fidx[e]]:
-                    li = lidx[e]
-                    w_per_link[li] = w_per_link.get(li, 0.0) + wgt[e]
-            headroom: dict[int, float] = {}
+            if rnd:
+                w_per_link = [0.0] * nl
+                for i in live:
+                    for li, w in runs[i]:
+                        w_per_link[li] += w
+            else:
+                w_per_link = w_all
+            headroom = [_INF] * nl
             r_link = _INF
-            for li, w in w_per_link.items():
+            for li in range(nl):
+                w = w_per_link[li]
                 if w > 1e-15:
                     h = cap_left[li] / w
                     headroom[li] = h
                     if h < r_link:
                         r_link = h
             r_cap = _INF
-            for i in range(n):
+            for i in capped:
                 if unfrozen[i]:
-                    s = caps[i] - rate[i]
-                    if s < r_cap:
-                        r_cap = s
+                    slack = caps[i] - level
+                    if slack < r_cap:
+                        r_cap = slack
             dr = min(r_link, r_cap)
             if not math.isfinite(dr):
                 raise SimulationError("max-min filling diverged (unconstrained flow)")
             dr = max(dr, 0.0)
-            for i in range(n):
-                if unfrozen[i]:
-                    rate[i] += dr
-            saturated: set[int] = set()
-            for li, w in w_per_link.items():
-                c = cap_left[li] - w * dr
-                if c < 0.0:
-                    c = 0.0
-                cap_left[li] = c
-                if w > 1e-15:
-                    m = dr * w
-                    if m < 1.0:
-                        m = 1.0
-                    if c <= tol * m:
-                        saturated.add(li)
-            newly = [False] * n
+            level += dr
             any_new = False
-            if saturated:
-                for e in range(ne):
-                    f = fidx[e]
-                    if unfrozen[f] and lidx[e] in saturated:
-                        newly[f] = True
-                        any_new = True
-            for i in range(n):
-                if unfrozen[i] and rate[i] >= caps[i] - 1e-12:
-                    newly[i] = True
+            for li in range(nl):
+                w = w_per_link[li]
+                if w:
+                    c = cap_left[li] - w * dr
+                    if c < 0.0:
+                        c = 0.0
+                    cap_left[li] = c
+                    if w > 1e-15:
+                        m = dr * w
+                        if m < 1.0:
+                            m = 1.0
+                        if c <= tol * m:
+                            for f in link_flows[li]:
+                                if unfrozen[f]:
+                                    unfrozen[f] = False
+                                    rate[f] = level
+                                    any_new = True
+            for i in capped:
+                if unfrozen[i] and level >= caps[i] - 1e-12:
+                    unfrozen[i] = False
+                    rate[i] = level
                     any_new = True
             if not any_new:
                 # Numerical corner: force-freeze flows on the binding
-                # link (np.argmin semantics: first index of the minimum
-                # over the full link range, INF where no weight).
-                frozen_any = False
-                if nlinks:
-                    h_min = min(headroom.values()) if headroom else _INF
-                    if math.isfinite(h_min):
-                        # exact: comparing against the stored minimum itself
-                        binding = min(li for li, h in headroom.items() if h == h_min)
-                    else:
-                        binding = 0
-                    for e in range(ne):
-                        if lidx[e] == binding and unfrozen[fidx[e]]:
-                            newly[fidx[e]] = True
-                            frozen_any = True
-                if not frozen_any:
+                # link (np.argmin semantics: lowest global index of the
+                # minimum over the full link range, INF where no weight).
+                h_min = min(headroom, default=_INF)
+                if math.isfinite(h_min):
+                    # exact: comparing against the stored minimum itself
+                    binding = min(glob[li] for li in range(nl) if headroom[li] == h_min)
+                else:
+                    binding = 0
+                li = local.get(binding)
+                if li is not None:
+                    for f in link_flows[li]:
+                        if unfrozen[f]:
+                            unfrozen[f] = False
+                            rate[f] = level
+                            any_new = True
+                if not any_new:
                     raise SimulationError(
                         "max-min filling stalled with unfrozen flows "
                         f"{self._stuck_flows(unfrozen)}: no link saturates "
                         "and no demand cap is reachable within tolerance "
                         "(pathological capacity/cap values?)"
                     )
-            for i in range(n):
-                if newly[i] and unfrozen[i]:
-                    unfrozen[i] = False
-                    n_unfrozen -= 1
+            live = [i for i in live if unfrozen[i]]
+        for i in live:
+            rate[i] = level
         self._f_rate[:n] = rate
         if self.track_binding:
-            self._assign_bindings(rate, cap_left)
+            self._assign_bindings(rate, dict(zip(glob, cap_left)))
 
     def _stuck_flows(self, unfrozen: Sequence[bool]) -> list[str]:
         return [f.name for f, u in zip(self._active, unfrozen) if u]
@@ -836,10 +890,10 @@ class FlowNetwork:
         progressive filling froze it on).  Reads only quantities the
         allocator computed; never feeds back into allocation.
 
-        ``cap_left`` is indexable by link index: the vectorised solver
-        passes the full array, the scalar one a dict covering every link
-        that carries an edge (which includes every link of every active
-        flow, so lookups never miss)."""
+        ``cap_left`` is indexable by global link index: the vectorised
+        solver passes the full array, the scalar one a dict covering
+        every link that carries an edge (which includes every link of
+        every active flow, so lookups never miss)."""
         for fi, flow in enumerate(self._active):
             if flow.bound_time is None:
                 continue
@@ -863,14 +917,11 @@ class FlowNetwork:
         n = self._nf
         if n:
             if n <= self._SCALAR_MAX_FLOWS:
-                rem = self._f_rem
-                rate = self._f_rate
-                for i in range(n):
-                    r = float(rate[i])
+                for r, v in zip(self._f_rate[:n].tolist(), self._f_rem[:n].tolist()):
                     if r > 0:
-                        v = float(rem[i]) / r
-                        if v < best:
-                            best = v
+                        t = v / r
+                        if t < best:
+                            best = t
             else:
                 rates = self._f_rate[:n]
                 pos = rates > 0
@@ -888,16 +939,15 @@ class FlowNetwork:
         eps = self.time_epsilon
         if n <= self._SCALAR_MAX_FLOWS:
             rows = []
-            rem_a = self._f_rem
-            rate_a = self._f_rate
-            size_a = self._f_size
-            for i in range(n):
-                rem = float(rem_a[i])
-                size = float(size_a[i])
-                m = size if size > 1.0 else 1.0
-                fin = rem <= 1e-9 * m
+            for i, (rem, r, size) in enumerate(
+                zip(
+                    self._f_rem[:n].tolist(),
+                    self._f_rate[:n].tolist(),
+                    self._f_size[:n].tolist(),
+                )
+            ):
+                fin = rem <= 1e-9 * (size if size > 1.0 else 1.0)
                 if not fin:
-                    r = float(rate_a[i])
                     fin = r > 0 and rem / r <= eps
                 if fin:
                     rows.append(i)

@@ -11,6 +11,7 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.core import Simulator
 from repro.sim.flownet import FlowNetwork
 
@@ -131,8 +132,12 @@ class _AlwaysSolveNet(FlowNetwork):
         super()._reallocate()
 
 
-def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None):
-    """Drive one arrival/departure sequence; return each flow's finish time."""
+def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None, cancels=()):
+    """Drive one arrival/departure sequence; return each flow's finish
+    time (None if cancelled) and every link's busy integral.
+
+    ``cancels[tag]``, when present and not None, cancels flow ``tag``
+    that many seconds after it starts (a no-op if it finished first)."""
     sim = Simulator()
     net = net_cls(sim)
     if scalar_max is not None:
@@ -140,6 +145,10 @@ def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None):
         net._SCALAR_MAX_EDGES = scalar_max
     links = [net.add_link(f"l{i}", c) for i, c in enumerate(caps)]
     times = {}
+
+    def canceller(flow, after):
+        yield sim.timeout(after)
+        net.cancel(flow)
 
     def driver(tag, size, usages, cap, delay):
         if delay:
@@ -149,13 +158,19 @@ def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None):
             [(links[li % len(links)], w) for li, w in usages],
             demand_cap=cap if cap is not None else math.inf,
         )
-        yield flow.done
+        if tag < len(cancels) and cancels[tag] is not None:
+            sim.process(canceller(flow, cancels[tag]))
+        try:
+            yield flow.done
+        except SimulationError:
+            times[tag] = None
+            return
         times[tag] = sim.now
 
     for tag, (size, usages, cap, delay) in enumerate(specs):
         sim.process(driver(tag, size, usages, cap, delay))
     sim.run()
-    return times
+    return times, net.busy_integrals().tolist()
 
 
 @settings(**SETTINGS)
@@ -178,6 +193,63 @@ def test_scalar_and_vector_solvers_agree(caps, specs):
     scalar = _completion_times(caps, specs, scalar_max=10**9)
     vector = _completion_times(caps, specs, scalar_max=0)
     assert scalar == vector  # exact: solvers are bitwise interchangeable
+
+
+class _ReferenceBusyNet(FlowNetwork):
+    """FlowNetwork that also integrates link busy time the per-event
+    way: at every sync, each active edge adds ``rate * weight * dt``.
+    Whenever the network has settled an arrival, departure or cancel
+    (it then reschedules its next completion), the reference must match
+    the network's own integrals, settled once per flow, to 1e-12 of the
+    link's offered work: the summed ``weight * size`` of every flow
+    that used it.  Per-event products and the settled ``size -
+    remaining`` differ by the roundings of the remaining-work updates,
+    a few ulps of each flow's size, so that is the natural scale."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.ref_busy = []
+        self.offered = []
+
+    def add_link(self, name, capacity):
+        self.ref_busy.append(0.0)
+        self.offered.append(0.0)
+        return super().add_link(name, capacity)
+
+    def _append(self, flow):
+        for link, weight in zip(flow.links, flow.weights):
+            self.offered[link.index] += weight * flow.size
+        super()._append(flow)
+
+    def _sync(self):
+        dt = self.sim.now - self._last_advance
+        if dt > 0:
+            for flow in self._active:
+                for link, weight in zip(flow.links, flow.weights):
+                    self.ref_busy[link.index] += flow.rate * weight * dt
+        super()._sync()
+
+    def _schedule_completion(self):
+        settled = self.busy_integrals().tolist()
+        for got, want, offered in zip(settled, self.ref_busy, self.offered):
+            assert abs(got - want) <= 1e-12 * offered, (got, want, offered)
+        super()._schedule_completion()
+
+
+cancel_plans = st.lists(st.one_of(st.none(), st.floats(0.0, 3.0)), max_size=10)
+
+
+@settings(**SETTINGS)
+@given(caps=link_caps, specs=flow_specs, cancels=cancel_plans)
+def test_settled_busy_integrals_match_per_event_accumulation(caps, specs, cancels):
+    """Busy integrals settled once per departing flow (completion or
+    cancel) equal the per-event ``rate * weight * dt`` accumulation
+    after every network event, and the forced-scalar and forced-vector
+    bodies settle bitwise-identical integrals."""
+    _completion_times(caps, specs, net_cls=_ReferenceBusyNet, cancels=cancels)
+    scalar = _completion_times(caps, specs, scalar_max=10**9, cancels=cancels)
+    vector = _completion_times(caps, specs, scalar_max=0, cancels=cancels)
+    assert scalar == vector  # exact: one settle path, bitwise-equal remainders
 
 
 @settings(**SETTINGS)

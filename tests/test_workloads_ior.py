@@ -210,3 +210,22 @@ def test_shared_file_unsupported_apis_rejected():
     cluster = Cluster(n_servers=2, n_clients=2, seed=0)
     with pytest.raises(ConfigError, match="shared-file"):
         run_ior(CephEnv(cluster), small_cfg(shared_file=True), "RADOS")
+
+
+@pytest.mark.parametrize("mode", ["aggregate", "exact"])
+@pytest.mark.parametrize("oclass, factor", [("SX", 1.0), ("RP_2", 2.0), ("EC_2P1", 1.5)])
+def test_ior_daos_ssd_bytes_conserve_redundancy(oclass, factor, mode):
+    """Backend SSD bytes equal the bytes written times the object
+    class's redundancy factor: the SSD write links' busy integrals,
+    scaled back by the protocol efficiency, account for every byte."""
+    cluster = Cluster(n_servers=4, n_clients=2, seed=0)
+    env = DaosEnv(cluster, jitter_sigma=0.0)
+    cfg = small_cfg(
+        ppn=4, mode=mode, jitter_sigma=0.0, object_class=oclass, read_phase=False
+    )
+    written = run_ior(env, cfg, "DAOS").get("write").bytes
+    assert written == 2 * 4 * 8 * MiB
+    ssd_bytes = sum(
+        server.ssd_agg_w.busy_integral for server in cluster.servers
+    ) * env.pool.params.protocol_efficiency
+    assert ssd_bytes == pytest.approx(written * factor, rel=1e-12)

@@ -223,9 +223,9 @@ def main(argv=None) -> int:
         )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if args.resume and not args.cache_dir:
-        parser.error("--resume needs --cache-dir (finished points are "
-                     "served from the cache)")
+    if args.resume and (args.no_cache or not args.cache_dir):
+        parser.error("--resume needs --cache-dir and no --no-cache "
+                     "(finished points are served from the cache)")
     explains = []
     for spec in args.explain:
         op, sep, quant = spec.rpartition(":")

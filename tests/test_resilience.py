@@ -137,6 +137,21 @@ def test_cli_rejects_non_finite_or_negative_knobs(argv, capsys):
     assert "finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--resume"], ["--cache-dir", "resume-cache", "--no-cache", "--resume"]],
+)
+def test_cli_rejects_resume_without_a_cache(argv, capsys):
+    # with no cache open there is no journal to resume from; the run
+    # must not silently start from scratch
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["HW", *argv])
+    assert exc.value.code == 2
+    assert "--resume needs --cache-dir" in capsys.readouterr().err
+
+
 # ------------------------------------------- identity with no faults
 
 

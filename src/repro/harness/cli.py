@@ -24,12 +24,16 @@ writes collapsed-stack lines for flamegraph.pl / speedscope.app.
 deterministic tail exemplars); ``--explain daos.lat.arr-read:p99``
 prints a waterfall table decomposing that quantile's exemplar op, and
 ``--ledger-json`` exports every exemplar as NDJSON.
-Each flag activates the observability layer for the whole build;
-instrumentation never changes the simulated numbers (see
-docs/OBSERVABILITY.md).
+Each flag observes the whole build: every point runs under its own
+Observability, and each figure's telemetry is merged from its points'
+records, so it is the same whatever ``--jobs``.  An observed build
+executes every point (a cached result carries no record), so it does
+not read ``--cache-dir`` and cannot ``--resume``.  Instrumentation never
+changes the simulated numbers (see docs/OBSERVABILITY.md).
 
-Execution is planned: every figure is a declarative run plan handed to
-an executor (``--jobs N`` fans points out over N worker processes) with
+Execution is planned: the requested figures' run plans go to an
+executor as one deduplicated batch, so a point several figures share
+runs once (``--jobs N`` fans points out over N worker processes), with
 an optional content-addressed on-disk result cache (``--cache-dir``).
 Modelled numbers are bit-identical whatever the jobs count or cache
 temperature — see docs/EXECUTION.md.  ``--series-json`` dumps every
@@ -56,7 +60,7 @@ import time
 import repro.obs as obs_mod
 from repro.errors import ConfigError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SerialExecutor, execute_plan
+from repro.harness.executor import SerialExecutor, execute_plans
 from repro.harness.figures import FIGURES, plan_figure
 from repro.harness.report import render_figure, render_markdown
 
@@ -91,7 +95,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--markdown", metavar="PATH",
-        help="also append markdown blocks to this file",
+        help="also write markdown blocks to this file (overwritten)",
     )
     parser.add_argument(
         "--trace", metavar="PATH",
@@ -159,10 +163,6 @@ def main(argv=None) -> int:
              "executed points are served from disk",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir (neither read nor write the cache)",
-    )
-    parser.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
         help="host wall-clock deadline per point; an overdue point's "
              "worker is terminated and the point retried on a fresh one",
@@ -223,8 +223,8 @@ def main(argv=None) -> int:
         )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if args.resume and (args.no_cache or not args.cache_dir):
-        parser.error("--resume needs --cache-dir and no --no-cache "
+    if args.resume and not args.cache_dir:
+        parser.error("--resume needs --cache-dir "
                      "(finished points are served from the cache)")
     explains = []
     for spec in args.explain:
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         bool(args.trace) or args.metrics or bool(args.metrics_json)
         or bool(args.timeline) or profiling or ledgering
     )
+    if args.resume and observe:
+        parser.error("--resume cannot be combined with an instrument flag: "
+                     "an observed build executes every point")
     timeline_cfg = (
         obs_mod.TimelineConfig(interval=args.timeline_interval)
         if args.timeline else None
@@ -297,11 +300,48 @@ def main(argv=None) -> int:
         if resilient
         else SerialExecutor()
     )
-    cache = (
-        ResultCache(args.cache_dir)
-        if args.cache_dir and not args.no_cache
-        else None
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    # execute_plans observes every point with the ambient
+    # Observability's instruments and merges each figure's telemetry
+    template = (
+        obs_mod.Observability(
+            timeline=timeline_cfg,
+            profile=obs_mod.ProfileRecorder() if profiling else None,
+            ledger=obs_mod.OpLedger() if ledgering else None,
+        )
+        if observe else None
     )
+    plans = [plan_figure(fig_id, args.scale) for fig_id in fig_ids]
+    if args.faults:
+        from repro.harness.plan import with_faults
+
+        plans = [with_faults(plan, args.faults) for plan in plans]
+    t0 = time.perf_counter()
+    try:
+        with obs_mod.activated(template):
+            figures, exec_report = execute_plans(
+                plans, executor=executor, cache=cache, resilience=resilience
+            )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ExecutionInterrupted as exc:
+        print(f"\ninterrupted: {exc}", file=sys.stderr)
+        if cache is not None:
+            resume_cmd = (
+                f"python -m repro.harness.cli {args.figure} "
+                f"--scale {args.scale} --jobs {args.jobs} "
+                f"--cache-dir {args.cache_dir} --resume"
+            )
+            print(f"resume with: {resume_cmd}", file=sys.stderr)
+        else:
+            print(
+                "hint: run with --cache-dir to make interrupted work "
+                "resumable",
+                file=sys.stderr,
+            )
+        return 130
+    wall = time.perf_counter() - t0
     md_blocks = []
     traced = []
     timelines = []
@@ -310,48 +350,8 @@ def main(argv=None) -> int:
     profiles = {}
     ledgers = {}
     failures = 0
-    for fig_id in fig_ids:
-        obs = (
-            obs_mod.Observability(
-                timeline=timeline_cfg,
-                profile=obs_mod.ProfileRecorder() if profiling else None,
-                ledger=obs_mod.OpLedger() if ledgering else None,
-            )
-            if observe else None
-        )
-        t0 = time.perf_counter()
-        plan = plan_figure(fig_id, args.scale)
-        if args.faults:
-            from repro.harness.plan import with_faults
-
-            plan = with_faults(plan, args.faults)
-        try:
-            with obs_mod.activated(obs):
-                result, exec_report = execute_plan(
-                    plan, executor=executor, cache=cache, resilience=resilience
-                )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ExecutionInterrupted as exc:
-            print(f"\ninterrupted: {exc}", file=sys.stderr)
-            if cache is not None:
-                resume_cmd = (
-                    f"python -m repro.harness.cli {args.figure} "
-                    f"--scale {args.scale} --jobs {args.jobs} "
-                    f"--cache-dir {args.cache_dir} --resume"
-                )
-                print(f"resume with: {resume_cmd}", file=sys.stderr)
-            else:
-                print(
-                    "hint: run with --cache-dir to make interrupted work "
-                    "resumable",
-                    file=sys.stderr,
-                )
-            return 130
-        wall = time.perf_counter() - t0
-        if obs is not None:
-            obs.finalize()
+    for result in figures:
+        obs = result.obs
         print(render_figure(result, obs=obs))
         if args.metrics and obs is not None:
             print()
@@ -363,23 +363,24 @@ def main(argv=None) -> int:
             for op, quant in explains:
                 print()
                 print(obs_mod.render_waterfall(obs.ledger, op, quant))
-        print(
-            f"(built in {wall:.1f}s at scale={args.scale}; "
-            f"{exec_report.summary()})\n"
-        )
+        print()
         md_blocks.append(render_markdown(result))
         failures += sum(1 for c in result.checks if not c.passed)
         if args.series_json:
-            series_doc[fig_id] = _series_doc(result)
+            series_doc[result.fig_id] = _series_doc(result)
         if obs is not None:
-            traced.append((fig_id, obs.tracer))
+            traced.append((result.fig_id, obs.tracer))
             timelines.extend(obs.timelines)
             if obs.profile is not None:
-                profiles[fig_id] = obs.profile
+                profiles[result.fig_id] = obs.profile
             if obs.ledger is not None:
-                ledgers[fig_id] = obs.ledger
+                ledgers[result.fig_id] = obs.ledger
             if args.metrics_json:
-                metrics_doc[fig_id] = obs.registry.snapshot()
+                metrics_doc[result.fig_id] = obs.registry.snapshot()
+    print(
+        f"(built {len(figures)} figure(s) in {wall:.1f}s at "
+        f"scale={args.scale}; {exec_report.summary()})"
+    )
     if cache is not None:
         print(f"cache: {cache.stats.summary()} -> {cache.root}")
     if args.trace:
@@ -412,9 +413,9 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"series dump written to {args.series_json}")
     if args.markdown:
-        with open(args.markdown, "a") as fh:
+        with open(args.markdown, "w") as fh:
             fh.write("\n\n".join(md_blocks) + "\n")
-        print(f"markdown appended to {args.markdown}")
+        print(f"markdown written to {args.markdown}")
     if failures:
         print(f"{failures} shape check(s) FAILED", file=sys.stderr)
         return 1

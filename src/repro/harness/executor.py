@@ -13,14 +13,14 @@ order, yields bit-identical :class:`PointResult`\\ s — the executor only
 decides *where and when* the simulations run, never *what they
 compute*.
 
-Observability under parallel execution: a worker process cannot write
-into the parent's registry, so each worker observes its points with a
-private :class:`repro.obs.Observability`, ships the picklable
-:meth:`dump <repro.obs.Observability.dump>` back with the result, and
-the parent :meth:`absorb <repro.obs.Observability.absorb>`\\ s payloads
-in task order.  ``--trace``, ``--metrics`` and ``--timeline`` therefore
-keep working unchanged under ``--jobs N``; the merged counters equal
-the serial run's exactly.
+Observability: every executor observes a point the same way, through
+the one worker entry :func:`_run_task_observed`.  A task that carries
+:class:`Instruments` runs under a private :class:`repro.obs.Observability`
+with those instruments, and the finalized :meth:`dump
+<repro.obs.Observability.dump>` travels with the result as its
+``record``.  :func:`execute_plans` merges each figure's records in
+plan order, so telemetry is a function of the plan alone, never of the
+job count or completion order.
 
 Wall-clock note: this module intentionally reads the host clock
 (``time.perf_counter``) to report executor cost — it is on the simlint
@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     List,
@@ -59,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (figures imports us)
 ResultCallback = Callable[["PointTask", PointResult], None]
 
 __all__ = [
+    "Instruments",
     "PointTask",
     "Executor",
     "SerialExecutor",
@@ -69,12 +69,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Instruments:
+    """The instruments a point is observed with (picklable: it rides a
+    :class:`PointTask` into a worker process)."""
+
+    timeline: Optional[obs_mod.TimelineConfig] = None
+    profile: bool = False
+    ledger: bool = False
+
+    def observability(self) -> obs_mod.Observability:
+        """A fresh, empty Observability with these instruments."""
+        return obs_mod.Observability(
+            timeline=self.timeline,
+            profile=obs_mod.ProfileRecorder() if self.profile else None,
+            ledger=obs_mod.OpLedger() if self.ledger else None,
+        )
+
+
+@dataclass(frozen=True)
 class PointTask:
-    """One unit of executor work: a spec plus its aggregation params."""
+    """One unit of executor work: a spec plus its aggregation params,
+    and the instruments to observe it with (None: unobserved)."""
 
     spec: PointSpec
     reps: int
     base_seed: int = 0
+    instruments: Optional[Instruments] = None
 
 
 class Executor(Protocol):
@@ -99,10 +119,7 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process, in-order execution (the pre-plan behaviour).
-
-    Runs under whatever observability is ambient, binding clusters
-    directly — no serialisation round-trip."""
+    """In-process, in-order execution through the one worker entry."""
 
     jobs = 1
 
@@ -113,7 +130,7 @@ class SerialExecutor:
     ) -> List[Optional[PointResult]]:
         results: List[Optional[PointResult]] = []
         for t in tasks:
-            result = run_point(t.spec, reps=t.reps, base_seed=t.base_seed)
+            result = _run_task_observed(t)
             if on_result is not None:
                 on_result(t, result)
             results.append(result)
@@ -123,34 +140,23 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-def _run_task_observed(
-    task: PointTask,
-    observe: bool,
-    timeline: Optional[obs_mod.TimelineConfig],
-    profile: bool = False,
-    ledger: bool = False,
-) -> Tuple[PointResult, Optional[Dict[str, Any]]]:
-    """Worker-side entry point (module-level, hence picklable).
+def _run_task_observed(task: PointTask) -> PointResult:
+    """The one worker entry, for every executor (module-level, hence
+    picklable).
 
-    Explicitly controls the ambient observability: under a forking
-    start method the child would otherwise inherit the parent's active
-    Observability and mutate a copy nobody reads.  ``profile`` and
-    ``ledger`` mirror whether the parent carries a simprof recorder /
-    op ledger: the worker records with private ones and their
-    mergeable state rides the dump.
+    Explicitly controls the ambient observability: the point runs under
+    a private Observability with the task's instruments, or under none,
+    never under the caller's (a forked child would otherwise mutate a
+    copy nobody reads).  The private Observability's finalized dump
+    becomes the result's ``record``.
     """
-    if not observe:
-        with obs_mod.activated(None):
-            return run_point(task.spec, reps=task.reps, base_seed=task.base_seed), None
-    obs = obs_mod.Observability(
-        timeline=timeline,
-        profile=obs_mod.ProfileRecorder() if profile else None,
-        ledger=obs_mod.OpLedger() if ledger else None,
-    )
+    obs = task.instruments.observability() if task.instruments else None
     with obs_mod.activated(obs):
         result = run_point(task.spec, reps=task.reps, base_seed=task.base_seed)
-    obs.finalize()
-    return result, obs.dump()
+    if obs is not None:
+        obs.finalize()
+        result.record = obs.dump()
+    return result
 
 
 @dataclass
@@ -205,6 +211,15 @@ def execute_plans(
     result the moment it completes -> run each plan's pure assembly.
     Returns the figures (plan order) and an :class:`ExecutionReport`.
 
+    Under an ambient :class:`repro.obs.Observability` the build is
+    observed: every point runs with that Observability's
+    :class:`Instruments` and carries its own record, and each figure's
+    ``obs`` merges its plan's records in plan-spec order (a point shared
+    by several figures is merged into each).  For a single plan the
+    merge goes into the ambient Observability itself.  A cached result
+    carries no record, so an observed build serves nothing from the
+    cache (it still writes fresh results to it).
+
     Every fresh result is ``cache.put`` per-completion (through the
     executor's ``on_result`` hook), so a run that dies mid-batch keeps
     everything it finished.  With a ``resilience`` config the batch
@@ -216,6 +231,10 @@ def execute_plans(
     """
     executor = executor if executor is not None else SerialExecutor()
     batch: PlanBatch = dedupe_plans(plans)
+    ambient = obs_mod.current()
+    instruments = None if ambient is None else Instruments(
+        ambient.timeline_config, ambient.profile is not None, ambient.ledger is not None
+    )
     report = ExecutionReport(
         jobs=executor.jobs,
         requested_points=batch.requested_points,
@@ -255,7 +274,11 @@ def execute_plans(
             report.quarantined += 1
             quarantined_tokens.append(spec_token(spec))
             continue
-        cached = cache.get(spec, reps, base_seed) if cache is not None else None
+        cached = (
+            cache.get(spec, reps, base_seed)
+            if cache is not None and instruments is None
+            else None
+        )
         if cached is not None:
             pool[(spec, reps)] = cached
             if journal is not None:
@@ -263,7 +286,7 @@ def execute_plans(
                     report.resumed += 1
                 journal.mark_done(key)
         else:
-            misses.append(PointTask(spec=spec, reps=reps, base_seed=base_seed))
+            misses.append(PointTask(spec, reps, base_seed, instruments))
 
     def checkpoint(task: PointTask, result: PointResult) -> None:
         pool[(task.spec, task.reps)] = result
@@ -305,6 +328,14 @@ def execute_plans(
     allow_partial = resilience is not None and resilience.allow_partial
     for plan in batch.plans:
         missing = [spec for spec in plan.specs if (spec, plan.reps) not in pool]
+        # the figure's telemetry: its points' records in plan-spec order
+        obs = None
+        if ambient is not None and instruments is not None:
+            obs = ambient if len(batch.plans) == 1 else instruments.observability()
+        for spec in plan.specs:
+            result = pool.get((spec, plan.reps))
+            if obs is not None and result is not None and result.record is not None:
+                obs.absorb(result.record)
         if missing and allow_partial:
             from repro.harness.resilience import hole_result
 
@@ -318,7 +349,7 @@ def execute_plans(
                 f"(NaN holes): " + "; ".join(spec_token(s) for s in missing)
             )
             notes = f"{figure.notes}\n{hole_note}" if figure.notes else hole_note
-            figures.append(replace(figure, notes=notes))
+            figures.append(replace(figure, notes=notes, obs=obs))
         elif missing:
             names = ", ".join(spec_token(s) for s in missing[:3])
             more = f" (+{len(missing) - 3} more)" if len(missing) > 3 else ""
@@ -334,7 +365,7 @@ def execute_plans(
             )
         else:
             results = {spec: pool[(spec, plan.reps)] for spec in plan.specs}
-            figures.append(plan.assemble(results))
+            figures.append(replace(plan.assemble(results), obs=obs))
     return figures, report
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import repro.obs
 from repro.errors import ConfigError
@@ -142,6 +142,13 @@ class PointResult:
     std B/s)`` triples, aggregated window-by-window across reps — and
     the mean/std count of operations lost to exhausted redundancy.
     Fault-free points leave them empty (schema defaults).
+
+    ``record`` is the point's telemetry: the finalized
+    :meth:`~repro.obs.Observability.dump` of the private Observability
+    an observed build ran it under (see
+    :func:`repro.harness.executor.execute_plans`).  It is not a modelled
+    number, so it takes no part in equality, ``repr`` or the cache
+    encoding, and a cached result never carries one.
     """
 
     spec: PointSpec
@@ -153,6 +160,7 @@ class PointResult:
     write_windows: Tuple[Tuple[float, float, float], ...] = ()
     read_windows: Tuple[Tuple[float, float, float], ...] = ()
     lost_ops: Tuple[float, float] = (0.0, 0.0)
+    record: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
 
     def bw(self, phase: str) -> float:
         return (self.write_bw if phase == "write" else self.read_bw)[0]

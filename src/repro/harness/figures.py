@@ -44,6 +44,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import Executor, execute_plan
 from repro.harness.experiment import PointResult, PointSpec
 from repro.harness.plan import RunPlan, make_plan
+from repro.obs import Observability
 from repro.units import GiB, KiB, MiB
 
 __all__ = [
@@ -102,6 +103,10 @@ class FigureResult:
     paper_expectation: str
     checks: List[Check] = field(default_factory=list)
     notes: str = ""
+    #: the figure's telemetry, merged from its points' records in plan
+    #: order by :func:`~repro.harness.executor.execute_plans` (None for
+    #: an unobserved build)
+    obs: Optional[Observability] = field(default=None, compare=False, repr=False)
 
     @property
     def all_passed(self) -> bool:

@@ -28,10 +28,12 @@ the simulations so modelled numbers stay a pure function of
   SIGINT stops submitting and drains in-flight work (everything drained
   is checkpointed); the second hard-stops.
 
-Observability payloads are still absorbed in submission order
-(completion order never leaks into merged telemetry), and a retried
-point contributes exactly one payload — the successful attempt's — so
-``--jobs N`` telemetry equals the serial run's even across retries.
+Workers run points through the one worker entry the serial executor
+uses too, so each result carries its own telemetry record; a retried
+point returns exactly one result — the successful attempt's — and
+:func:`~repro.harness.executor.execute_plans` merges records in plan
+order, so ``--jobs N`` telemetry equals the serial run's even across
+retries.
 
 Deterministic chaos (for CI and tests) is injected via the
 ``REPRO_HARNESS_CHAOS`` environment variable; see :func:`chaos_plan`.
@@ -55,12 +57,11 @@ import traceback as traceback_mod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import FrameType
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-import repro.obs as obs_mod
 from repro.errors import ConfigError, ReproError
 from repro.harness.executor import PointTask, _run_task_observed
 from repro.harness.experiment import PointResult, PointSpec, spec_token
@@ -140,39 +141,23 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
         if name == "kill-worker" and rest:
             substr, _, n = rest.rpartition(":")
             if substr and n.isdigit():
-                plan = ChaosPlan(
-                    kill_substr=substr,
-                    kill_attempts=int(n),
-                    sleep_substr=plan.sleep_substr,
-                    sleep_seconds=plan.sleep_seconds,
-                    interrupt_after=plan.interrupt_after,
-                )
+                plan = replace(plan, kill_substr=substr, kill_attempts=int(n))
             else:
-                plan = ChaosPlan(
-                    kill_substr=rest,
-                    kill_attempts=1,
-                    sleep_substr=plan.sleep_substr,
-                    sleep_seconds=plan.sleep_seconds,
-                    interrupt_after=plan.interrupt_after,
-                )
+                plan = replace(plan, kill_substr=rest, kill_attempts=1)
         elif name == "sleep" and rest:
             substr, _, seconds = rest.rpartition(":")
-            if substr:
-                plan = ChaosPlan(
-                    kill_substr=plan.kill_substr,
-                    kill_attempts=plan.kill_attempts,
-                    sleep_substr=substr,
-                    sleep_seconds=float(seconds),
-                    interrupt_after=plan.interrupt_after,
+            try:
+                value = float(seconds)
+            except ValueError:
+                value = math.nan
+            if not substr or not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{CHAOS_ENV}: {directive!r} needs sleep:SUBSTR:SECONDS "
+                    f"with SECONDS a finite number >= 0"
                 )
+            plan = replace(plan, sleep_substr=substr, sleep_seconds=value)
         elif name == "interrupt-after" and rest.isdigit():
-            plan = ChaosPlan(
-                kill_substr=plan.kill_substr,
-                kill_attempts=plan.kill_attempts,
-                sleep_substr=plan.sleep_substr,
-                sleep_seconds=plan.sleep_seconds,
-                interrupt_after=int(rest),
-            )
+            plan = replace(plan, interrupt_after=int(rest))
         else:
             raise ConfigError(
                 f"{CHAOS_ENV}: unknown directive {directive!r} "
@@ -182,19 +167,13 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
     return plan
 
 
-def _resilient_task(
-    task: PointTask,
-    attempt: int,
-    observe: bool,
-    timeline: Optional[obs_mod.TimelineConfig],
-    profile: bool,
-    ledger: bool,
-) -> Tuple[PointResult, Optional[Dict[str, Any]]]:
+def _resilient_task(task: PointTask, attempt: int) -> PointResult:
     """Worker-side entry point (module-level, hence picklable).
 
     ``attempt`` is the zero-based try number — chaos directives key off
     it so a "crash once" scenario crashes exactly once.  Delegates to
-    the plain executor's worker entry, so the modelled run is identical.
+    the one worker entry, so the modelled run and its record are
+    identical to the serial executor's.
     """
     chaos = chaos_plan()
     if chaos.active:
@@ -207,7 +186,7 @@ def _resilient_task(
             os.kill(os.getpid(), signal.SIGKILL)
         if chaos.sleep_substr is not None and chaos.sleep_substr in token:
             time.sleep(chaos.sleep_seconds)
-    return _run_task_observed(task, observe, timeline, profile, ledger)
+    return _run_task_observed(task)
 
 
 @dataclass
@@ -460,22 +439,14 @@ class ResilientParallelExecutor:
         self.last_failures = failures = []
         if not tasks:
             return []
-        parent_obs = obs_mod.current()
-        observe = parent_obs is not None
-        timeline = parent_obs.timeline_config if parent_obs is not None else None
-        profile = parent_obs is not None and parent_obs.profile is not None
-        ledger = parent_obs is not None and parent_obs.ledger is not None
-
         n = len(tasks)
         results: List[Optional[PointResult]] = [None] * n
-        payloads: List[Optional[Dict[str, Any]]] = [None] * n
         settled = [False] * n  # success or quarantine: will never produce more work
         attempts = [0] * n  # tries started
         queue: Deque[int] = deque(range(n))
         retry_heap: List[Tuple[float, int]] = []  # (host time ready, index)
-        running: Dict["Future[Tuple[PointResult, Optional[Dict[str, Any]]]]", _Pending] = {}
+        running: Dict["Future[PointResult]", _Pending] = {}
         pool: Optional[ProcessPoolExecutor] = None
-        absorb_upto = 0
         completed = 0
         chaos = chaos_plan()
         sigints = 0
@@ -513,15 +484,7 @@ class ResilientParallelExecutor:
             running.clear()
 
         def submit(index: int) -> None:
-            fut = ensure_pool().submit(
-                _resilient_task,
-                tasks[index],
-                attempts[index],
-                observe,
-                timeline,
-                profile,
-                ledger,
-            )
+            fut = ensure_pool().submit(_resilient_task, tasks[index], attempts[index])
             attempts[index] += 1
             deadline = (
                 time.monotonic() + self.point_timeout
@@ -529,17 +492,6 @@ class ResilientParallelExecutor:
                 else None
             )
             running[fut] = _Pending(index=index, deadline=deadline)
-
-        def drain_absorb() -> None:
-            # absorb payloads strictly in submission order so merged
-            # telemetry never depends on completion order
-            nonlocal absorb_upto
-            while absorb_upto < n and settled[absorb_upto]:
-                payload = payloads[absorb_upto]
-                if payload is not None and parent_obs is not None:
-                    parent_obs.absorb(payload)
-                payloads[absorb_upto] = None
-                absorb_upto += 1
 
         def budget_fail(index: int, reason: str, error: str, tb: str) -> None:
             nonlocal solo_pending
@@ -557,7 +509,6 @@ class ResilientParallelExecutor:
                         traceback=tb,
                     )
                 )
-                drain_absorb()
             else:
                 stats.retried += 1
                 ready = time.monotonic() + self.retry_backoff * (
@@ -610,7 +561,7 @@ class ResilientParallelExecutor:
                 for fut in sorted(done, key=lambda f: running[f].index):
                     index = running.pop(fut).index
                     try:
-                        result, payload = fut.result()
+                        result = fut.result()
                     except BrokenProcessPool:
                         stats.crashes += 1
                         crash_victims.append(index)
@@ -627,13 +578,11 @@ class ResilientParallelExecutor:
                         budget_fail(index, "error", error, tb)
                         continue
                     results[index] = result
-                    payloads[index] = payload
                     settled[index] = True
                     solo_pending = max(0, solo_pending - 1)
                     completed += 1
                     if on_result is not None:
                         on_result(tasks[index], result)
-                    drain_absorb()
                     if (
                         chaos.interrupt_after is not None
                         and completed >= chaos.interrupt_after

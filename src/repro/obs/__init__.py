@@ -258,11 +258,11 @@ class Observability:
 
     # -- cross-process merge -------------------------------------------------
     def dump(self) -> Dict[str, Any]:
-        """Complete picklable state for shipping to the parent process.
+        """Complete picklable state: one point's telemetry record.
 
-        A :class:`ResilientParallelExecutor
-        <repro.harness.resilience.ResilientParallelExecutor>` worker observes its points with a private Observability, dumps
-        it, and the parent :meth:`absorb`\\ s the payload — so
+        The harness observes every point with a private Observability,
+        whichever process runs it, and keeps its dump as the point's
+        record; each figure :meth:`absorb`\\ s its points' records, so
         ``--trace``/``--metrics``/``--timeline`` see one merged view no
         matter how many processes ran the figure.  Call
         :meth:`finalize` first so the last run's ``sim.run`` span and
@@ -284,7 +284,7 @@ class Observability:
         }
 
     def absorb(self, payload: Dict[str, Any]) -> None:
-        """Merge a worker's :meth:`dump` into this observability.
+        """Merge a point's :meth:`dump` into this observability.
 
         Counters add, gauges keep maxima, histograms merge buckets,
         link utilisation integrals accumulate, and the worker's trace

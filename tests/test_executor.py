@@ -9,6 +9,7 @@ tolerance would hide a determinism bug.
 """
 
 import json
+import re
 
 import pytest
 
@@ -355,11 +356,87 @@ def test_obs_spans_and_runs_merge_across_workers():
     assert obs_p.run_index + 1 == obs_s.run_index + 1 == 4
     # every absorbed span landed in a distinct, remapped pid lane
     assert {s.pid for s in obs_p.tracer.spans} == {0, 1, 2, 3}
-    assert sorted(obs_p.link_stats) == sorted(obs_s.link_stats)
-    for name, (busy, denom) in obs_s.link_stats.items():
-        p_busy, p_denom = obs_p.link_stats[name]
-        assert p_busy == pytest.approx(busy)
-        assert p_denom == pytest.approx(denom)
+    # exact: both executors merge the same per-point records in plan order
+    assert obs_p.link_stats == obs_s.link_stats
+
+
+# exact mode with a target killed mid-read and a rebuild: per-op latency
+# histograms, the rebuild gauge and the op ledger all observe
+FAULTED = SMALL.with_(
+    n_client_nodes=2, ops_per_process=16, mode="exact",
+    faults="target@read+0.02:5,rebuild", object_class="RP_2GX",
+)
+
+
+def profiled(plans, executor=None):
+    """Build ``plans`` under an Observability with every instrument on."""
+    obs = obs_mod.Observability(
+        profile=obs_mod.ProfileRecorder(), ledger=obs_mod.OpLedger()
+    )
+    with obs_mod.activated(obs):
+        figures, report = execute_plans(plans, executor=executor)
+    return obs, figures, report
+
+
+def test_obs_identical_serial_and_parallel_with_faults():
+    plan = tiny_plan(specs=(FAULTED, FAULTED.with_(ppn=4)))
+    obs_s, [fig_s], _ = profiled([plan], SerialExecutor())
+    obs_p, [fig_p], _ = profiled([plan], ResilientParallelExecutor(jobs=2))
+    # a single plan's telemetry is merged into the ambient Observability
+    assert fig_s.obs is obs_s and fig_p.obs is obs_p
+    # exact: telemetry is a function of the plan, never of the job count
+    assert obs_s.registry.dump_state() == obs_p.registry.dump_state()
+    assert obs_s.registry.gauge("faults.rebuild_active").value == 1.0
+    assert obs_s.link_stats == obs_p.link_stats
+    assert obs_s.ledger.dump_state() == obs_p.ledger.dump_state()
+    assert obs_s.ledger.names()
+    for attr in ("events_dispatched", "recomputes", "recompute_flows",
+                 "recompute_edges", "queue_depth_peak"):
+        assert getattr(obs_s.profile, attr) == getattr(obs_p.profile, attr), attr
+
+
+def test_shared_point_runs_once_and_feeds_each_figure_telemetry():
+    a = tiny_plan("A", specs=[SMALL, OTHER])
+    b = tiny_plan("B", specs=[SMALL, THIRD])
+    _, figures, report = profiled([a, b])
+    assert report.executed_points == report.unique_points == 3
+    for plan, fig in zip((a, b), figures):
+        alone, [single], _ = profiled([plan])
+        assert fig.obs is not None and fig.obs is not alone
+        # exact: the shared point's record is merged into both figures
+        assert fig.obs.profile.events_dispatched == alone.profile.events_dispatched
+        assert fig.obs.profile.recomputes == alone.profile.recomputes
+        assert fig.obs.registry.dump_state() == alone.registry.dump_state()
+        assert series_data(fig) == series_data(single)
+
+
+def test_unobserved_build_carries_no_telemetry():
+    fig, _ = execute_plan(tiny_plan(specs=(DD,)))
+    assert fig.obs is None
+    [result] = SerialExecutor().run_tasks([PointTask(DD, reps=1)])
+    assert result.record is None
+
+
+def test_observed_warm_cache_build_executes_every_point(tmp_path, capsys):
+    from repro.harness.cli import main
+
+    argv = ["HW", "--cache-dir", str(tmp_path / "cache"), "--metrics-json"]
+    docs = []
+    for run in ("cold", "warm"):
+        path = tmp_path / f"{run}.json"
+        assert main([*argv, str(path)]) == 0
+        unique, executed = re.search(
+            r"(\d+) unique points .*; (\d+) executed", capsys.readouterr().out
+        ).groups()
+        # a cached result carries no record: serving it would leave the
+        # figure's telemetry partial, so an observed build runs it again
+        assert executed == unique != "0", run
+        docs.append(path.read_text())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["HW"]
+    # the cache was still written: an unobserved build is served from it
+    assert main(["HW", "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert "100.0% hit rate" in capsys.readouterr().out
 
 
 def test_obs_hottest_links_survive_merge():

@@ -174,9 +174,10 @@ def test_cli_markdown_output(tmp_path, capsys):
     from repro.harness.cli import main
 
     md_path = tmp_path / "out.md"
-    rc = main(["HW", "--markdown", str(md_path)])
-    assert rc == 0
-    assert "### HW" in md_path.read_text()
+    for _ in range(2):  # a re-run overwrites the record, never appends
+        assert main(["HW", "--markdown", str(md_path)]) == 0
+    assert md_path.read_text().count("### HW") == 1
+    assert f"markdown written to {md_path}" in capsys.readouterr().out
 
 
 def test_cli_trace_and_metrics_flags(tmp_path, capsys):

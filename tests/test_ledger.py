@@ -13,13 +13,12 @@ from repro.ceph import CephCluster, RadosClient
 from repro.errors import ConfigError, UnavailableError
 from repro.faults import RetryPolicy
 from repro.hardware import Cluster
-from repro.harness.executor import PointTask, SerialExecutor
+from repro.harness.executor import Instruments, PointTask, SerialExecutor
 from repro.harness.experiment import PointSpec, run_point
 from repro.harness.resilience import ResilientParallelExecutor
 from repro.obs import (
     Observability,
     OpLedger,
-    activated,
     export_ledger_ndjson,
     ledger_trace_events,
     parse_quantile,
@@ -290,21 +289,27 @@ def small_spec(**kwargs):
 
 
 def test_serial_and_parallel_ledgers_merge_identically():
+    # exact mode: per-op client calls, so the ledger actually records
+    instruments = Instruments(ledger=True)
     tasks = [
-        PointTask(spec=small_spec(), reps=2, base_seed=1),
-        PointTask(spec=small_spec(object_class="RP_2GX"), reps=1, base_seed=1),
+        PointTask(small_spec(mode="exact"), 2, 1, instruments),
+        PointTask(small_spec(mode="exact", object_class="RP_2GX"), 1, 1, instruments),
     ]
-    serial_obs = Observability(ledger=OpLedger())
-    with activated(serial_obs):
-        serial_results = SerialExecutor().run_tasks(tasks)
-    serial_obs.finalize()
-    parallel_obs = Observability(ledger=OpLedger())
-    with activated(parallel_obs):
-        parallel_results = ResilientParallelExecutor(jobs=2).run_tasks(tasks)
-    parallel_obs.finalize()
+
+    def merged(executor):
+        # each result carries its point's record; merge them in task order
+        results = executor.run_tasks(tasks)
+        obs = Observability(ledger=OpLedger())
+        for result in results:
+            obs.absorb(result.record)
+        return results, obs.ledger
+
+    serial_results, serial_ledger = merged(SerialExecutor())
+    parallel_results, parallel_ledger = merged(ResilientParallelExecutor(jobs=2))
     for a, b in zip(serial_results, parallel_results):
         assert a.write_bw == b.write_bw and a.read_bw == b.read_bw
-    assert serial_obs.ledger.dump_state() == parallel_obs.ledger.dump_state()
+    assert serial_ledger.names()
+    assert serial_ledger.dump_state() == parallel_ledger.dump_state()
 
 
 def test_merge_rejects_substeps_mismatch():

@@ -95,9 +95,16 @@ def test_chaos_plan_parses_directives():
     assert not chaos_plan("").active
 
 
-def test_chaos_plan_rejects_unknown_directive():
-    with pytest.raises(ConfigError, match="unknown directive"):
-        chaos_plan("explode:everything")
+@pytest.mark.parametrize(
+    "directive",
+    ["explode:everything", "sleep:abc", "sleep:x:notnum", "sleep:x:-1", "sleep:x:nan"],
+)
+def test_chaos_plan_rejects_unknown_directive(directive):
+    # a malformed directive is a named error, never ignored, never a raw
+    # ValueError, and never a sleep the worker cannot take
+    with pytest.raises(ConfigError, match=CHAOS_ENV) as exc:
+        chaos_plan(directive)
+    assert repr(directive) in str(exc.value)
 
 
 # ------------------------------------------- host-side number validation
@@ -137,10 +144,7 @@ def test_cli_rejects_non_finite_or_negative_knobs(argv, capsys):
     assert "finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--resume"], ["--cache-dir", "resume-cache", "--no-cache", "--resume"]],
-)
+@pytest.mark.parametrize("argv", [["--resume"]])
 def test_cli_rejects_resume_without_a_cache(argv, capsys):
     # with no cache open there is no journal to resume from; the run
     # must not silently start from scratch
@@ -150,6 +154,24 @@ def test_cli_rejects_resume_without_a_cache(argv, capsys):
         main(["HW", *argv])
     assert exc.value.code == 2
     assert "--resume needs --cache-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--metrics"], ["--trace", "t.json"], ["--profile"], ["--ledger-json", "l.ndjson"]],
+)
+def test_cli_rejects_resume_with_an_instrument_flag(flag, tmp_path, capsys):
+    # an observed build executes every point (a cached result carries no
+    # telemetry record), so there is nothing to resume from
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["HW", "--cache-dir", str(tmp_path / "c"), "--resume", *flag])
+    assert exc.value.code == 2
+    assert "--resume cannot be combined with an instrument flag" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "c").exists()
 
 
 # ------------------------------------------- identity with no faults

@@ -4,8 +4,9 @@
 The simulator isn't a black box — this example shows the introspection
 workflow a user follows when a number looks off:
 
-1. run a workload with a :class:`~repro.sim.trace.FlowTracer` attached;
-2. print the link-utilisation report ("what ran hot?");
+1. run a workload under an :class:`~repro.obs.Observability` and list
+   its slowest flows;
+2. rank the links by mean utilisation ("what ran hot?");
 3. attribute the elapsed time to resources with the critical-path
    analyzer and watch the saturation unfold on a timeline;
 4. sweep client configurations with the harness optimiser (the paper's
@@ -28,7 +29,6 @@ from repro.analysis import efficiency, write_roofline
 from repro.harness import PointSpec, find_optimal_clients, run_point
 from repro.hardware import Cluster
 from repro.obs.timeline import render_timeline
-from repro.sim.trace import FlowTracer, utilization_report
 from repro.units import GiB
 from repro.workloads.common import DaosEnv, WorkloadConfig
 from repro.workloads.ior import run_ior
@@ -36,17 +36,25 @@ from repro.workloads.ior import run_ior
 N_SERVERS = 4
 
 
-def traced_run() -> None:
-    print("== 1-2. trace one run and inspect the hot links ==")
-    env = DaosEnv(Cluster(n_servers=N_SERVERS, n_clients=4, seed=0))
-    tracer = FlowTracer(env.cluster.net).attach()
-    cfg = WorkloadConfig(n_client_nodes=4, ppn=16, ops_per_process=48)
-    rec = run_ior(env, cfg, "DAOS")
+def observed_run() -> None:
+    print("== 1-2. observe one run and inspect the hot links ==")
+    o = obs_mod.Observability()
+    with obs_mod.activated(o):  # the cluster binds to the active one
+        env = DaosEnv(Cluster(n_servers=N_SERVERS, n_clients=4, seed=0))
+        cfg = WorkloadConfig(n_client_nodes=4, ppn=16, ops_per_process=48)
+        rec = run_ior(env, cfg, "DAOS")
+    o.finalize()
     print(f"measured write: {rec.bandwidth('write') / GiB:.1f} GiB/s, "
           f"read: {rec.bandwidth('read') / GiB:.1f} GiB/s")
-    print(tracer.summary(top=3))
+    # every flow is a span on the flownet lane, sized in its args
+    flows = o.tracer.by_category()["flownet"]
+    print(f"{len(flows)} flows observed; the slowest:")
+    for span in sorted(flows, key=lambda s: s.duration, reverse=True)[:3]:
+        print(f"  {span.duration:10.6f}s  {span.name:<28} "
+              f"size={span.args['bytes']:,.0f}")
     print("\nhot links (SSD aggregates saturated on write -> device-bound):")
-    print(utilization_report(env.cluster.net, elapsed=env.cluster.sim.now, top=6))
+    for name, util in o.hottest_links(top=6):
+        print(f"  {util:8.1%}  {name}")
 
 
 def critical_path() -> None:
@@ -137,7 +145,7 @@ def explain_tail_op() -> None:
 
 
 if __name__ == "__main__":
-    traced_run()
+    observed_run()
     critical_path()
     optimise_clients()
     roofline_check()

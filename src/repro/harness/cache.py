@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -42,7 +42,8 @@ __all__ = ["CacheStats", "ResultCache", "RESULT_SCHEMA", "point_key"]
 
 #: layout version of the cached-result JSON payload
 #: 2: added spec.faults + write/read_windows + lost_ops (fault runs)
-RESULT_SCHEMA = 2
+#: 3: spec stores every PointSpec field (2 dropped spec.cohort)
+RESULT_SCHEMA = 3
 
 
 def point_key(spec: PointSpec, reps: int, base_seed: int = 0) -> str:
@@ -109,24 +110,11 @@ class ResultCache:
     # -- serialisation -------------------------------------------------------
     @staticmethod
     def _encode(result: PointResult) -> Dict[str, Any]:
-        spec = result.spec
+        # every field, so a field added to PointSpec cannot be dropped
+        spec = {f.name: getattr(result.spec, f.name) for f in fields(PointSpec)}
+        spec["extra"] = [list(item) for item in result.spec.extra]
         return {
-            "spec": {
-                "workload": spec.workload,
-                "store": spec.store,
-                "api": spec.api,
-                "n_servers": spec.n_servers,
-                "n_client_nodes": spec.n_client_nodes,
-                "ppn": spec.ppn,
-                "ops_per_process": spec.ops_per_process,
-                "op_size": spec.op_size,
-                "object_class": spec.object_class,
-                "kv_object_class": spec.kv_object_class,
-                "batches": spec.batches,
-                "mode": spec.mode,
-                "extra": [list(item) for item in spec.extra],
-                "faults": spec.faults,
-            },
+            "spec": spec,
             "write_bw": list(result.write_bw),
             "read_bw": list(result.read_bw),
             "write_iops": list(result.write_iops),

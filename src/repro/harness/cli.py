@@ -28,8 +28,8 @@ Each flag observes the whole build: every point runs under its own
 Observability, and each figure's telemetry is merged from its points'
 records, so it is the same whatever ``--jobs``.  An observed build
 executes every point (a cached result carries no record), so it does
-not read ``--cache-dir`` and cannot ``--resume``.  Instrumentation never
-changes the simulated numbers (see docs/OBSERVABILITY.md).
+not read ``--cache-dir``.  Instrumentation never changes the simulated
+numbers (see docs/OBSERVABILITY.md).
 
 Execution is planned: the requested figures' run plans go to an
 executor as one deduplicated batch, so a point several figures share
@@ -43,8 +43,9 @@ Parallel execution is resilient: every completed point is checkpointed
 into the cache immediately, a worker crash respawns the pool and
 resubmits in-flight points, ``--point-timeout``/``--max-retries`` bound
 hung points, repeat offenders land in a quarantine file, and a first
-Ctrl-C drains in-flight work then prints a ``--resume`` hint (a second
-hard-stops).  ``--allow-partial`` assembles figures with explicit NaN
+Ctrl-C drains in-flight work and exits 130 (a second hard-stops);
+re-running the same command serves the finished points from
+``--cache-dir``.  ``--allow-partial`` assembles figures with explicit NaN
 holes when points are quarantined.  See docs/EXECUTION.md ("Resilient
 execution").
 """
@@ -56,6 +57,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import repro.obs as obs_mod
 from repro.errors import ConfigError
@@ -63,6 +65,14 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import SerialExecutor, execute_plans
 from repro.harness.figures import FIGURES, plan_figure
 from repro.harness.report import render_figure, render_markdown
+
+#: flags naming a file the CLI writes; each one's directory must exist
+#: before the build starts, so a typo cannot lose a finished build
+OUTPUT_FLAGS = (
+    "--markdown", "--trace", "--metrics-json", "--timeline",
+    "--profile-json", "--profile-flame", "--ledger-json", "--series-json",
+    "--quarantine",
+)
 
 
 def _series_doc(result) -> dict:
@@ -117,10 +127,6 @@ def main(argv=None) -> int:
              "long CSV format, anything else JSON",
     )
     parser.add_argument(
-        "--timeline-interval", type=float, default=0.02, metavar="SECONDS",
-        help="sim-time sampling interval for --timeline (default: 0.02)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="profile the simulator engine (simprof) and print the "
              "hot-path table after each figure",
@@ -173,16 +179,6 @@ def main(argv=None) -> int:
              "or raised, before it is quarantined (default: 2)",
     )
     parser.add_argument(
-        "--retry-backoff", type=float, default=0.25, metavar="SECONDS",
-        help="base host-side delay before a retry, doubled per attempt "
-             "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run: finished points are served from "
-             "--cache-dir (reported as 'resumed'), only the rest execute",
-    )
-    parser.add_argument(
         "--allow-partial", action="store_true",
         help="assemble figures with explicit NaN holes for quarantined "
              "or interrupted points instead of failing",
@@ -212,20 +208,12 @@ def main(argv=None) -> int:
         parser.error(
             f"--point-timeout must be a finite number > 0, got {args.point_timeout}"
         )
-    if not (math.isfinite(args.retry_backoff) and args.retry_backoff >= 0):
-        parser.error(
-            f"--retry-backoff must be a finite number >= 0, got {args.retry_backoff}"
-        )
-    if not (math.isfinite(args.timeline_interval) and args.timeline_interval > 0):
-        parser.error(
-            f"--timeline-interval must be a finite number > 0, "
-            f"got {args.timeline_interval}"
-        )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if args.resume and not args.cache_dir:
-        parser.error("--resume needs --cache-dir "
-                     "(finished points are served from the cache)")
+    for flag in OUTPUT_FLAGS:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and not Path(path).parent.is_dir():
+            parser.error(f"{flag}: directory '{Path(path).parent}' does not exist")
     explains = []
     for spec in args.explain:
         op, sep, quant = spec.rpartition(":")
@@ -258,29 +246,11 @@ def main(argv=None) -> int:
         bool(args.trace) or args.metrics or bool(args.metrics_json)
         or bool(args.timeline) or profiling or ledgering
     )
-    if args.resume and observe:
-        parser.error("--resume cannot be combined with an instrument flag: "
-                     "an observed build executes every point")
-    timeline_cfg = (
-        obs_mod.TimelineConfig(interval=args.timeline_interval)
-        if args.timeline else None
-    )
-    from pathlib import Path
-
     from repro.harness.resilience import (
         ExecutionInterrupted,
-        ResilienceConfig,
         ResilientParallelExecutor,
     )
 
-    resilience = ResilienceConfig(
-        point_timeout=args.point_timeout,
-        max_retries=args.max_retries if args.max_retries is not None else 2,
-        retry_backoff=args.retry_backoff,
-        allow_partial=args.allow_partial,
-        resume=args.resume,
-        quarantine_path=Path(args.quarantine) if args.quarantine else None,
-    )
     # parallel runs are resilient by default (crash containment,
     # checkpointing); timeout/retry flags opt a serial invocation into
     # the process-pool executor too, since an in-process point cannot
@@ -293,9 +263,8 @@ def main(argv=None) -> int:
     executor = (
         ResilientParallelExecutor(
             jobs=args.jobs,
-            point_timeout=resilience.point_timeout,
-            max_retries=resilience.max_retries,
-            retry_backoff=resilience.retry_backoff,
+            point_timeout=args.point_timeout,
+            max_retries=args.max_retries if args.max_retries is not None else 2,
         )
         if resilient
         else SerialExecutor()
@@ -305,7 +274,7 @@ def main(argv=None) -> int:
     # Observability's instruments and merges each figure's telemetry
     template = (
         obs_mod.Observability(
-            timeline=timeline_cfg,
+            timeline=obs_mod.TimelineConfig() if args.timeline else None,
             profile=obs_mod.ProfileRecorder() if profiling else None,
             ledger=obs_mod.OpLedger() if ledgering else None,
         )
@@ -320,7 +289,9 @@ def main(argv=None) -> int:
     try:
         with obs_mod.activated(template):
             figures, exec_report = execute_plans(
-                plans, executor=executor, cache=cache, resilience=resilience
+                plans, executor=executor, cache=cache,
+                allow_partial=args.allow_partial,
+                quarantine_path=Path(args.quarantine) if args.quarantine else None,
             )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -328,16 +299,15 @@ def main(argv=None) -> int:
     except ExecutionInterrupted as exc:
         print(f"\ninterrupted: {exc}", file=sys.stderr)
         if cache is not None:
-            resume_cmd = (
-                f"python -m repro.harness.cli {args.figure} "
-                f"--scale {args.scale} --jobs {args.jobs} "
-                f"--cache-dir {args.cache_dir} --resume"
+            print(
+                "re-run the same command; finished points are served "
+                "from --cache-dir",
+                file=sys.stderr,
             )
-            print(f"resume with: {resume_cmd}", file=sys.stderr)
         else:
             print(
-                "hint: run with --cache-dir to make interrupted work "
-                "resumable",
+                "hint: run with --cache-dir to keep finished points "
+                "across an interrupt",
                 file=sys.stderr,
             )
         return 130

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -40,7 +41,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -52,7 +52,6 @@ from repro.harness.plan import PlanBatch, RunPlan, dedupe_plans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (figures imports us)
     from repro.harness.figures import FigureResult
-    from repro.harness.resilience import ResilienceConfig
 
 #: per-completion callback: ``(task, result)`` the moment a point finishes
 ResultCallback = Callable[["PointTask", PointResult], None]
@@ -174,7 +173,6 @@ class ExecutionReport:
     retried: int = 0
     timed_out: int = 0
     quarantined: int = 0
-    resumed: int = 0
 
     @property
     def deduped_points(self) -> int:
@@ -187,10 +185,10 @@ class ExecutionReport:
             f"{self.executed_points} executed with jobs={self.jobs} "
             f"in {self.wall_seconds:.1f}s",
         ]
-        if self.retried or self.timed_out or self.quarantined or self.resumed:
+        if self.retried or self.timed_out or self.quarantined:
             parts.append(
                 f"resilience: retried={self.retried} timed-out={self.timed_out} "
-                f"quarantined={self.quarantined} resumed={self.resumed}"
+                f"quarantined={self.quarantined}"
             )
         if self.cache is not None:
             parts.append(f"cache: {self.cache.summary()}")
@@ -202,7 +200,9 @@ def execute_plans(
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     base_seed: int = 0,
-    resilience: Optional["ResilienceConfig"] = None,
+    *,
+    allow_partial: bool = False,
+    quarantine_path: Optional[Path] = None,
 ) -> Tuple[List["FigureResult"], ExecutionReport]:
     """Satisfy several plans at once and assemble their figures.
 
@@ -222,12 +222,13 @@ def execute_plans(
 
     Every fresh result is ``cache.put`` per-completion (through the
     executor's ``on_result`` hook), so a run that dies mid-batch keeps
-    everything it finished.  With a ``resilience`` config the batch
-    additionally keeps a :class:`~repro.harness.resilience.BatchJournal`
-    (``--resume`` accounting), skips and reports points already in the
-    :class:`~repro.harness.resilience.Quarantine`, persists new
-    quarantine entries, and — under ``allow_partial`` — assembles
-    figures with explicitly-NaN holes instead of raising.
+    everything it finished, and re-running it serves those points from
+    the cache.  The :class:`~repro.harness.resilience.Quarantine` lives
+    in ``quarantine_path``, else in ``<cache root>/quarantine.json``
+    (with neither there is none): points already in it are skipped and
+    reported, and points that exhaust their retries are added to it.
+    ``allow_partial`` assembles figures with explicitly-NaN holes for
+    missing points instead of raising.
     """
     executor = executor if executor is not None else SerialExecutor()
     batch: PlanBatch = dedupe_plans(plans)
@@ -242,35 +243,19 @@ def execute_plans(
         unique_points=batch.unique_points,
         cache=cache.stats if cache is not None else None,
     )
-    journal = None
+    if quarantine_path is None and cache is not None:
+        quarantine_path = cache.root / "quarantine.json"
     quarantine = None
-    prev_done: Set[str] = set()
-    if resilience is not None:
+    if quarantine_path is not None:
         # lazy import: resilience builds on this module, never the reverse
-        from repro.harness.resilience import BatchJournal, Quarantine
+        from repro.harness.resilience import Quarantine
 
-        qpath = resilience.quarantine_path
-        if qpath is None and cache is not None:
-            qpath = cache.root / "quarantine.json"
-        quarantine = Quarantine(qpath)
-        if cache is not None:
-            keyed = {
-                point_key(spec, reps, base_seed): spec_token(spec)
-                for spec, reps in batch.tasks
-            }
-            journal = BatchJournal(
-                cache.root / "journal",
-                BatchJournal.key_for(list(keyed), base_seed),
-            )
-            if resilience.resume:
-                prev_done = journal.done_keys()
-            journal.write_manifest(keyed, base_seed=base_seed, jobs=executor.jobs)
+        quarantine = Quarantine(quarantine_path)
     pool: Dict[Tuple[PointSpec, int], PointResult] = {}
     misses: List[PointTask] = []
     quarantined_tokens: List[str] = []
     for spec, reps in batch.tasks:
-        key = point_key(spec, reps, base_seed)
-        if quarantine is not None and quarantine.has(key):
+        if quarantine is not None and quarantine.has(point_key(spec, reps, base_seed)):
             report.quarantined += 1
             quarantined_tokens.append(spec_token(spec))
             continue
@@ -281,10 +266,6 @@ def execute_plans(
         )
         if cached is not None:
             pool[(spec, reps)] = cached
-            if journal is not None:
-                if key in prev_done:
-                    report.resumed += 1
-                journal.mark_done(key)
         else:
             misses.append(PointTask(spec, reps, base_seed, instruments))
 
@@ -292,18 +273,12 @@ def execute_plans(
         pool[(task.spec, task.reps)] = result
         if cache is not None:
             cache.put(result, base_seed=base_seed)
-        if journal is not None:
-            journal.mark_done(point_key(task.spec, task.reps, base_seed))
 
     t0 = time.perf_counter()
     try:
         fresh = executor.run_tasks(misses, on_result=checkpoint)
     finally:
         report.wall_seconds = time.perf_counter() - t0
-    for task, result in zip(misses, fresh):
-        if result is not None and (task.spec, task.reps) not in pool:
-            # executor ignored on_result (third-party): checkpoint now
-            checkpoint(task, result)
     report.executed_points = sum(1 for result in fresh if result is not None)
     stats = getattr(executor, "last_stats", None)
     if stats is not None:
@@ -325,7 +300,6 @@ def execute_plans(
                 traceback=failure.traceback,
             )
     figures: List["FigureResult"] = []
-    allow_partial = resilience is not None and resilience.allow_partial
     for plan in batch.plans:
         missing = [spec for spec in plan.specs if (spec, plan.reps) not in pool]
         # the figure's telemetry: its points' records in plan-spec order
@@ -374,7 +348,6 @@ def execute_plan(
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     base_seed: int = 0,
-    resilience: Optional["ResilienceConfig"] = None,
 ) -> Tuple["FigureResult", ExecutionReport]:
     """Single-plan convenience wrapper around :func:`execute_plans`."""
     figures, report = execute_plans(
@@ -382,6 +355,5 @@ def execute_plan(
         executor=executor,
         cache=cache,
         base_seed=base_seed,
-        resilience=resilience,
     )
     return figures[0], report

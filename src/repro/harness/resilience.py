@@ -10,15 +10,15 @@ the simulations so modelled numbers stay a pure function of
 - **Incremental checkpointing** — :class:`ResilientParallelExecutor`
   reports every completed point through ``on_result`` the moment its
   future resolves, so :func:`~repro.harness.executor.execute_plans`
-  can ``cache.put`` it immediately.  A :class:`BatchJournal` records
-  the batch manifest and per-point completions; an interrupted run
-  re-invoked with ``--resume`` serves every finished point from the
-  cache with zero recomputation.
+  can ``cache.put`` it immediately.  The result cache is the one
+  checkpoint: re-running an interrupted command serves every finished
+  point from the cache with zero recomputation.
 - **Per-point timeout + bounded retry** — each task gets a host
   wall-clock deadline (``--point-timeout``).  An overdue task's worker
   is terminated, innocent in-flight tasks are resubmitted without
   penalty, and the overdue task retries on a fresh worker with
-  exponential backoff, at most ``--max-retries`` extra attempts.
+  exponential backoff from :data:`RETRY_BACKOFF`, at most
+  ``--max-retries`` extra attempts.
 - **Crash containment** — a ``BrokenProcessPool`` (worker SIGKILLed,
   OOM-killed, or segfaulted) respawns the pool and resubmits the
   in-flight tasks instead of aborting the batch.
@@ -45,7 +45,6 @@ because none of it can reach modelled results.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
@@ -60,23 +59,22 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import FrameType
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError
 from repro.harness.executor import PointTask, _run_task_observed
 from repro.harness.experiment import PointResult, PointSpec, spec_token
 
 __all__ = [
-    "ResilienceConfig",
     "ResilientParallelExecutor",
     "ExecutionInterrupted",
     "RunStats",
     "TaskFailure",
     "Quarantine",
-    "BatchJournal",
     "hole_result",
     "chaos_plan",
     "CHAOS_ENV",
+    "RETRY_BACKOFF",
 ]
 
 #: environment variable carrying deterministic fault-injection directives
@@ -84,13 +82,16 @@ __all__ = [
 #: plans — docs/FAULTS.md); see :func:`chaos_plan` for the grammar
 CHAOS_ENV = "REPRO_HARNESS_CHAOS"
 
+#: host seconds before a point's first retry, doubled per further attempt
+RETRY_BACKOFF = 0.25
+
 
 class ExecutionInterrupted(ReproError):
     """A batch was interrupted (SIGINT) after draining in-flight work.
 
     Everything completed before the interrupt has already been
-    checkpointed through ``on_result``; re-running with ``--resume``
-    serves those points from the cache.
+    checkpointed through ``on_result``; re-running the same command
+    with the same cache serves those points from it.
     """
 
     def __init__(self, completed: int, total: int) -> None:
@@ -214,33 +215,20 @@ class TaskFailure:
     traceback: str
 
 
-@dataclass
-class ResilienceConfig:
-    """Knobs for resilient plan execution (CLI flags map 1:1)."""
-
-    point_timeout: Optional[float] = None
-    max_retries: int = 2
-    retry_backoff: float = 0.25
-    allow_partial: bool = False
-    resume: bool = False
-    quarantine_path: Optional[Path] = None
-
-
 class Quarantine:
     """Structured record of tasks that exhausted their retry budget.
 
     JSON document keyed by the point's cache key; each entry round-trips
     the spec token plus attempts/exception/traceback, so a human (or a
-    later tool) can re-run exactly the failing point.  ``path=None``
-    keeps the quarantine in memory only.
+    later tool) can re-run exactly the failing point.
     """
 
     SCHEMA = 1
 
-    def __init__(self, path: Optional[Path] = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
         self.entries: Dict[str, Dict[str, Any]] = {}
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             try:
                 with open(self.path) as fh:
                     doc = json.load(fh)
@@ -275,8 +263,6 @@ class Quarantine:
         self.save()
 
     def save(self) -> None:
-        if self.path is None:
-            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         doc = {"schema": self.SCHEMA, "entries": self.entries}
         tmp = self.path.with_suffix(".tmp")
@@ -287,74 +273,6 @@ class Quarantine:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-class BatchJournal:
-    """Append-only completion log for one deduplicated batch.
-
-    The manifest (``<batch>.journal``) freezes what the batch *is* —
-    every point key with its spec token — and the events file
-    (``<batch>.events``) appends one ``done <key>`` line per completed
-    point.  Neither uses the ``.json`` suffix: they live under the
-    cache root and must stay invisible to the cache's own entry walk.
-    The batch key is content-addressed over the sorted point keys, so
-    re-invoking the same figures/scale/faults resumes the same journal.
-    """
-
-    SCHEMA = 1
-
-    def __init__(self, root: Path, batch_key: str) -> None:
-        self.root = Path(root)
-        self.batch_key = batch_key
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._written: Set[str] = set()
-
-    @staticmethod
-    def key_for(point_keys: Sequence[str], base_seed: int) -> str:
-        payload = ("\n".join(sorted(point_keys)) + f"|base={base_seed}").encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / f"{self.batch_key}.journal"
-
-    @property
-    def events_path(self) -> Path:
-        return self.root / f"{self.batch_key}.events"
-
-    def write_manifest(self, points: Dict[str, str], base_seed: int, jobs: int) -> None:
-        """``points`` maps point key -> spec token."""
-        doc = {
-            "schema": self.SCHEMA,
-            "batch_key": self.batch_key,
-            "base_seed": base_seed,
-            "jobs": jobs,
-            "points": points,
-        }
-        tmp = self.manifest_path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.manifest_path)
-
-    def done_keys(self) -> Set[str]:
-        try:
-            with open(self.events_path) as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return set()
-        return {
-            line.split(" ", 1)[1]
-            for line in lines
-            if line.startswith("done ") and len(line.split(" ", 1)) == 2
-        }
-
-    def mark_done(self, key: str) -> None:
-        if key in self._written:
-            return
-        self._written.add(key)
-        with open(self.events_path, "a") as fh:
-            fh.write(f"done {key}\n")
 
 
 def hole_result(spec: PointSpec, reps: int) -> PointResult:
@@ -400,7 +318,6 @@ class ResilientParallelExecutor:
         jobs: int = 2,
         point_timeout: Optional[float] = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.25,
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"ResilientParallelExecutor needs jobs >= 1, got {jobs}")
@@ -412,14 +329,9 @@ class ResilientParallelExecutor:
             raise ConfigError(
                 f"point_timeout must be a finite number > 0, got {point_timeout}"
             )
-        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
-            raise ConfigError(
-                f"retry_backoff must be a finite number >= 0, got {retry_backoff}"
-            )
         self.jobs = jobs
         self.point_timeout = point_timeout
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.last_stats = RunStats()
         self.last_failures: List[TaskFailure] = []
 
@@ -511,7 +423,7 @@ class ResilientParallelExecutor:
                 )
             else:
                 stats.retried += 1
-                ready = time.monotonic() + self.retry_backoff * (
+                ready = time.monotonic() + RETRY_BACKOFF * (
                     2 ** (attempts[index] - 1)
                 )
                 heapq.heappush(retry_heap, (ready, index))

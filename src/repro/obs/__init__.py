@@ -39,7 +39,6 @@ from repro.obs.export import (
     chrome_trace_events,
     export_chrome_trace,
     export_collapsed_stacks,
-    export_json,
     export_ledger_ndjson,
     export_profile_json,
     ledger_trace_events,
@@ -104,7 +103,6 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "export_collapsed_stacks",
-    "export_json",
     "export_profile_json",
     "Timeline",
     "TimelineConfig",

@@ -1,5 +1,5 @@
-"""Trace exporters: Chrome trace-event JSON, plain JSON dumps, and
-simprof flame-graph / profile exports.
+"""Trace exporters: Chrome trace-event JSON and simprof flame-graph /
+profile exports.
 
 The Chrome format is the Trace Event Format consumed by
 ``chrome://tracing`` and https://ui.perfetto.dev: a ``traceEvents``
@@ -23,7 +23,6 @@ import json
 from typing import IO, Dict, List, Optional, Sequence, Union
 
 from repro.obs.ledger import OpLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileRecorder
 from repro.obs.span import Span, Tracer
 
@@ -31,7 +30,6 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "export_collapsed_stacks",
-    "export_json",
     "export_ledger_ndjson",
     "export_profile_json",
     "ledger_trace_events",
@@ -115,37 +113,6 @@ def export_chrome_trace(
     else:
         json.dump(doc, out)
     return sum(1 for e in events if e["ph"] == "X")
-
-
-def export_json(
-    out: Union[str, IO],
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Plain JSON dump: span list (with parent links) + metric snapshot."""
-    doc: Dict = {}
-    if tracer is not None:
-        doc["spans"] = [
-            {
-                "id": s.span_id,
-                "parent": s.parent_id,
-                "name": s.name,
-                "cat": s.cat,
-                "start": s.start,
-                "end": s.end,
-                "pid": s.pid,
-                "tid": s.tid,
-                **({"args": s.args} if s.args else {}),
-            }
-            for s in tracer.spans
-        ]
-    if registry is not None:
-        doc["metrics"] = registry.snapshot()
-    if isinstance(out, str):
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-    else:
-        json.dump(doc, out, indent=1)
 
 
 def _as_profile_dict(

@@ -263,8 +263,7 @@ class FlowNetwork:
         self.reallocations = 0
         #: observers called with each new :class:`Flow` once it is live
         #: (zero-size flows arrive already finished).  Any number of
-        #: tracers may attach concurrently; see ``repro.sim.trace`` and
-        #: ``repro.obs``.
+        #: observers may attach concurrently; see ``repro.obs``.
         self.on_transfer: list = []
         #: when True, every flow records which constraint (link or demand
         #: cap) bounds its rate and for how long (``Flow.binding`` /

@@ -8,6 +8,7 @@ so serial, parallel, and cached runs must agree to the last bit — any
 tolerance would hide a determinism bug.
 """
 
+import dataclasses
 import json
 import re
 
@@ -25,6 +26,7 @@ from repro.harness.executor import (
 )
 from repro.harness.experiment import (
     MODEL_VERSION,
+    PointResult,
     PointSpec,
     point_seed,
     run_point,
@@ -224,6 +226,23 @@ def test_cache_distinguishes_reps_and_base_seed(tmp_path):
     assert cache.get(DD, 2) is None  # different aggregation
     assert cache.get(DD, 1, base_seed=7) is None  # different seed family
     assert point_key(DD, 1) != point_key(DD, 1, base_seed=7)
+
+
+def test_cache_round_trip_keeps_every_spec_field(tmp_path):
+    # a cohort point read back from the cache must carry its own spec,
+    # not one with cohort reset to the default
+    spec = SMALL.with_(cohort=10, extra=(("stripe", 4),))
+    result = PointResult(
+        spec=spec, write_bw=(1.5, 0.25), read_bw=(2.5, 0.5),
+        write_iops=(3.0, 0.0), read_iops=(4.0, 0.0), reps=2,
+    )
+    cache = ResultCache(tmp_path)
+    cache.put(result)
+    got = cache.get(spec, 2)
+    assert got == result
+    assert got.spec.cohort == 10
+    doc = json.loads(cache.path_for(point_key(spec, 2)).read_text())
+    assert set(doc["spec"]) == {f.name for f in dataclasses.fields(PointSpec)}
 
 
 def test_cache_model_version_invalidation(tmp_path):

@@ -158,6 +158,24 @@ def test_zero_size_flow_completes_instantly():
     assert flow.finished_at == 0.0
 
 
+def test_on_transfer_observers_attach_and_detach_independently():
+    """Several observers watch one network at once, and removing one
+    never disturbs the others."""
+    sim, net = make_net()
+    link = net.add_link("pipe", 10.0)
+    first, second = [], []
+    net.on_transfer.extend([first.append, second.append])
+    run_flows(sim, net, [{"name": "one", "size": 10.0, "usages": [(link, 1.0)]}])
+    assert [f.name for f in first] == [f.name for f in second] == ["one"]
+
+    net.on_transfer.remove(first.append)
+    run_flows(sim, net, [{"name": "two", "size": 10.0, "usages": [(link, 1.0)]}])
+    assert [f.name for f in first] == ["one"]
+    assert [f.name for f in second] == ["one", "two"]
+    net.on_transfer.remove(second.append)
+    assert net.on_transfer == []
+
+
 def test_duplicate_links_merge_weights():
     sim, net = make_net()
     link = net.add_link("pipe", 100.0)

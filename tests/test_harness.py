@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import build_figure, render_figure, render_markdown
+from repro.harness.cli import OUTPUT_FLAGS
 from repro.harness.experiment import PointSpec, run_point
 from repro.harness.figures import FIGURES, Check, FigureResult, Series
 from repro.units import GiB
@@ -178,6 +179,24 @@ def test_cli_markdown_output(tmp_path, capsys):
         assert main(["HW", "--markdown", str(md_path)]) == 0
     assert md_path.read_text().count("### HW") == 1
     assert f"markdown written to {md_path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", OUTPUT_FLAGS)
+def test_cli_output_path_in_missing_directory_is_a_usage_error(
+    flag, tmp_path, monkeypatch, capsys
+):
+    # checked before the build: no point runs, and the error names the flag
+    import repro.harness.executor as executor_mod
+    from repro.harness.cli import main
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran before the output paths were checked")
+
+    monkeypatch.setattr(executor_mod, "run_point", no_point)
+    with pytest.raises(SystemExit) as exc:
+        main(["HW", flag, str(tmp_path / "nodir" / "out.json")])
+    assert exc.value.code == 2
+    assert f"{flag}: directory" in capsys.readouterr().err
 
 
 def test_cli_trace_and_metrics_flags(tmp_path, capsys):

@@ -18,7 +18,6 @@ from repro.obs import (
     chrome_trace_events,
     current,
     export_chrome_trace,
-    export_json,
 )
 from repro.sim.core import Simulator
 
@@ -214,18 +213,6 @@ def test_export_chrome_trace_multi_tracer_pid_offsets(tmp_path):
         if e["ph"] == "M" and e["name"] == "process_name"
     }
     assert labels == {"F1 0", "F2 0"}
-
-
-def test_export_json_spans_and_metrics(tmp_path):
-    tracer = Tracer()
-    tracer.record("x", "c", 0.0, 2.0)
-    reg = MetricsRegistry()
-    reg.counter("a.ops").inc(3)
-    out = tmp_path / "obs.json"
-    export_json(str(out), tracer, reg)
-    doc = json.loads(out.read_text())
-    assert doc["spans"][0]["name"] == "x"
-    assert doc["metrics"]["a.ops"]["value"] == 3.0
 
 
 # -- ambient context -------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Resilient campaign execution: checkpoint/resume, per-point timeouts,
-worker-crash containment, and quarantine.
+"""Resilient campaign execution: checkpointing into the result cache,
+per-point timeouts, worker-crash containment, and quarantine.
 
 The invariant under test everywhere: resilience machinery must never
 change modelled numbers.  A batch that loses workers to SIGKILL, gets
-interrupted and resumed, or routes points through retries must produce
+interrupted and re-run, or routes points through retries must produce
 figures byte-identical to an undisturbed serial run — the only
-difference is host-side accounting (retried/timed_out/quarantined/
-resumed counts and the quarantine file).
+difference is host-side accounting (retried/timed_out/quarantined
+counts, cache hits and the quarantine file).
 """
 
 import json
 import math
+import re
 import signal
 
 import pytest
@@ -28,11 +29,9 @@ from repro.harness.figures import FigureResult, Series
 from repro.harness.plan import make_plan
 from repro.harness.resilience import (
     CHAOS_ENV,
-    BatchJournal,
     ChaosPlan,
     ExecutionInterrupted,
     Quarantine,
-    ResilienceConfig,
     ResilientParallelExecutor,
     chaos_plan,
     hole_result,
@@ -115,8 +114,6 @@ def test_chaos_plan_rejects_unknown_directive(directive):
     [
         {"point_timeout": math.nan},
         {"point_timeout": math.inf},
-        {"retry_backoff": -1.0},
-        {"retry_backoff": math.nan},
     ],
 )
 def test_executor_rejects_non_finite_or_negative_knobs(kwargs):
@@ -130,9 +127,6 @@ def test_executor_rejects_non_finite_or_negative_knobs(kwargs):
     "argv",
     [
         ["--point-timeout", "nan"],
-        ["--retry-backoff", "-1"],
-        ["--retry-backoff", "nan"],
-        ["--timeline", "t.json", "--timeline-interval", "nan"],
     ],
 )
 def test_cli_rejects_non_finite_or_negative_knobs(argv, capsys):
@@ -142,36 +136,6 @@ def test_cli_rejects_non_finite_or_negative_knobs(argv, capsys):
         main(["HW", *argv])
     assert exc.value.code == 2
     assert "finite number" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [["--resume"]])
-def test_cli_rejects_resume_without_a_cache(argv, capsys):
-    # with no cache open there is no journal to resume from; the run
-    # must not silently start from scratch
-    from repro.harness.cli import main
-
-    with pytest.raises(SystemExit) as exc:
-        main(["HW", *argv])
-    assert exc.value.code == 2
-    assert "--resume needs --cache-dir" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "flag",
-    [["--metrics"], ["--trace", "t.json"], ["--profile"], ["--ledger-json", "l.ndjson"]],
-)
-def test_cli_rejects_resume_with_an_instrument_flag(flag, tmp_path, capsys):
-    # an observed build executes every point (a cached result carries no
-    # telemetry record), so there is nothing to resume from
-    from repro.harness.cli import main
-
-    with pytest.raises(SystemExit) as exc:
-        main(["HW", "--cache-dir", str(tmp_path / "c"), "--resume", *flag])
-    assert exc.value.code == 2
-    assert "--resume cannot be combined with an instrument flag" in (
-        capsys.readouterr().err
-    )
-    assert not (tmp_path / "c").exists()
 
 
 # ------------------------------------------- identity with no faults
@@ -213,8 +177,7 @@ def test_repeated_crasher_is_quarantined_not_fatal(
     ex = ResilientParallelExecutor(jobs=2, max_retries=1)
     with pytest.raises(ConfigError, match="quarantined after repeated failures"):
         execute_plans(
-            [tiny_plan()], executor=ex, cache=cache,
-            resilience=ResilienceConfig(max_retries=1, quarantine_path=qpath),
+            [tiny_plan()], executor=ex, cache=cache, quarantine_path=qpath,
         )
     # the two innocent points were checkpointed despite the failure
     assert cache.get(SMALL, 2) is not None
@@ -231,9 +194,7 @@ def test_repeated_crasher_is_quarantined_not_fatal(
     figs, report = execute_plans(
         [tiny_plan()], executor=SerialExecutor(),
         cache=ResultCache(tmp_path / "c"),
-        resilience=ResilienceConfig(
-            allow_partial=True, quarantine_path=qpath
-        ),
+        allow_partial=True, quarantine_path=qpath,
     )
     assert report.quarantined == 1
     assert "PARTIAL: 1 of 3" in figs[0].notes
@@ -252,19 +213,14 @@ def test_repeated_crasher_is_quarantined_not_fatal(
 def test_point_timeout_retries_then_quarantines(tmp_path, monkeypatch):
     # one spec sleeps (host time) past the per-point deadline on every
     # attempt: each try is timed out on a fresh pool, then quarantined
+    # into the cache's own quarantine file (no path given)
     monkeypatch.setenv(CHAOS_ENV, "sleep:ppn=4:30")
     cache = ResultCache(tmp_path / "c")
-    qpath = tmp_path / "q.json"
     ex = ResilientParallelExecutor(jobs=2, point_timeout=0.5, max_retries=1)
     with pytest.raises(ConfigError, match="re-run with --allow-partial"):
-        execute_plans(
-            [tiny_plan()], executor=ex, cache=cache,
-            resilience=ResilienceConfig(
-                point_timeout=0.5, max_retries=1, quarantine_path=qpath
-            ),
-        )
+        execute_plans([tiny_plan()], executor=ex, cache=cache)
     assert ex.last_stats.timed_out >= 2
-    q = Quarantine(qpath)
+    q = Quarantine(cache.root / "quarantine.json")
     key = point_key(OTHER, 2)
     assert q.has(key)
     assert q.entries[key]["reason"] == "timeout"
@@ -275,7 +231,7 @@ def test_point_timeout_retries_then_quarantines(tmp_path, monkeypatch):
     assert cache.get(DD, 2) is not None
 
 
-# ------------------------------------------------- interrupt -> resume
+# ------------------------------------------------- interrupt -> re-run
 
 
 def test_interrupt_then_resume_serves_finished_from_cache(
@@ -286,41 +242,55 @@ def test_interrupt_then_resume_serves_finished_from_cache(
     with pytest.raises(ExecutionInterrupted) as exc_info:
         execute_plans(
             [tiny_plan()], executor=ResilientParallelExecutor(jobs=1),
-            cache=cache, resilience=ResilienceConfig(),
+            cache=cache,
         )
     finished = exc_info.value.completed
     assert 1 <= finished < 3
     assert len(cache) == finished  # everything finished was checkpointed
-    journal_files = list((cache.root / "journal").iterdir())
-    assert {p.suffix for p in journal_files} == {".journal", ".events"}
 
-    # resume: every point finished before the interrupt is a cache hit
+    # the cache is the checkpoint: re-running the same batch serves every
+    # point finished before the interrupt as a cache hit
     monkeypatch.delenv(CHAOS_ENV)
     warm = ResultCache(tmp_path / "c")
     figs, report = execute_plans(
-        [tiny_plan()], executor=ResilientParallelExecutor(jobs=1),
-        cache=warm, resilience=ResilienceConfig(resume=True),
+        [tiny_plan()], executor=ResilientParallelExecutor(jobs=1), cache=warm,
     )
     assert warm.stats.hits == finished
-    assert warm.stats.misses == 3 - finished
-    assert report.resumed == finished
+    assert warm.stats.misses == report.executed_points == 3 - finished
     assert series_data(figs[0]) == series_data(serial_figure)
+    assert not (warm.root / "journal").exists()
 
 
-def test_batch_journal_round_trip(tmp_path):
-    keys = [point_key(s, 2) for s in SPECS]
-    journal = BatchJournal(tmp_path, BatchJournal.key_for(keys, 0))
-    journal.write_manifest(
-        {k: spec_token(s) for k, s in zip(keys, SPECS)}, base_seed=0, jobs=2
-    )
-    journal.mark_done(keys[0])
-    journal.mark_done(keys[0])  # idempotent
-    journal.mark_done(keys[2])
-    fresh = BatchJournal(tmp_path, journal.batch_key)
-    assert fresh.done_keys() == {keys[0], keys[2]}
-    # a different batch (extra point / other seed) journals separately
-    assert BatchJournal.key_for(keys[:2], 0) != journal.batch_key
-    assert BatchJournal.key_for(keys, 7) != journal.batch_key
+def test_cli_interrupt_then_same_command_serves_finished_points(
+    tmp_path, monkeypatch, capsys
+):
+    # the re-run repeats the interrupted argv verbatim, --faults included,
+    # so it builds the same batch and its series equal an undisturbed run
+    from repro.harness.cli import main
+
+    faults = "target@read+0.02:5,rebuild"
+    assert main(["F1", "--faults", faults,
+                 "--series-json", str(tmp_path / "clean.json")]) == 0
+    cache_dir = tmp_path / "cache"
+    argv = ["F1", "--jobs", "2", "--cache-dir", str(cache_dir),
+            "--faults", faults, "--series-json", str(tmp_path / "rerun.json")]
+    capsys.readouterr()
+    monkeypatch.setenv(CHAOS_ENV, "interrupt-after:2")
+    assert main(argv) == 130
+    err = capsys.readouterr().err
+    finished = int(re.search(r"interrupted after (\d+) of", err).group(1))
+    assert finished >= 2
+    assert "re-run the same command" in err
+    assert len(ResultCache(cache_dir)) == finished
+
+    monkeypatch.delenv(CHAOS_ENV)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert int(re.search(r"cache: (\d+) hits", out).group(1)) == finished
+    assert not (cache_dir / "journal").exists()
+    assert (tmp_path / "rerun.json").read_bytes() == (
+        tmp_path / "clean.json"
+    ).read_bytes()
 
 
 # ---------------------------------- mid-batch persistence (regression)

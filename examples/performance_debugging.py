@@ -64,7 +64,8 @@ def critical_path() -> None:
         workload="ior", store="daos", api="DAOS",
         n_servers=N_SERVERS, n_client_nodes=4, ppn=16, ops_per_process=48,
     )
-    run_point(base, reps=1, obs=o)
+    with obs_mod.activated(o):
+        run_point(base, reps=1)
     o.finalize()
     print(obs_mod.render_critical_path(o, per_run=True))
     print()
@@ -105,7 +106,8 @@ def profile_engine() -> None:
         n_servers=N_SERVERS, n_client_nodes=4, ppn=16, ops_per_process=48,
         mode="exact",  # per-op client calls, so tail latencies observe
     )
-    run_point(base, reps=1, obs=o)
+    with obs_mod.activated(o):
+        run_point(base, reps=1)
     o.finalize()
     # where the host time went: hot callback sites, recompute cost,
     # dispatch throughput
@@ -131,7 +133,8 @@ def explain_tail_op() -> None:
         mode="exact",  # the ledger decomposes individual client ops
         faults="target@read+0.02:5,rebuild", object_class="RP_2GX",
     )
-    run_point(base, reps=1, obs=o)
+    with obs_mod.activated(o):
+        run_point(base, reps=1)
     o.finalize()
     # the p99 read's waterfall: with a target down and rebuild traffic
     # running, the tail is interference, not device saturation — the

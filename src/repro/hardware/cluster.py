@@ -108,7 +108,6 @@ class Cluster:
         client_spec: ClientSpec = CLIENT_N2_HIGHCPU_32,
         fabric: FabricParams = FabricParams(),
         seed: int = 0,
-        obs=None,
     ):
         if n_servers < 1:
             raise ConfigError(f"cluster needs >= 1 server node, got {n_servers}")
@@ -118,12 +117,10 @@ class Cluster:
         self.net = FlowNetwork(self.sim)
         self.fabric = fabric
         self.rng = RngStreams(seed=seed)
-        # Observability is ambient: pass obs= explicitly or activate one
-        # with ``repro.obs.activated(...)`` around the cluster build.
-        # None (the default) keeps every layer's instrumentation dormant.
-        if obs is None:
-            obs = repro.obs.current()
-        self.obs = obs
+        # Observability is ambient: activate one with
+        # ``repro.obs.activated(...)`` around the cluster build.  With
+        # none active every layer's instrumentation stays dormant.
+        self.obs = obs = repro.obs.current()
         if obs is not None:
             obs.bind(self)
         self.servers: list[ServerNode] = [

@@ -156,13 +156,16 @@ class ResultCache:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(f"cache entry is a JSON {type(doc).__name__}")
         except FileNotFoundError:
             self.stats.misses += 1
             return None
         except (OSError, ValueError):
-            # unreadable/corrupt entry (truncated write, garbage bytes):
-            # drop it and re-execute.  ValueError covers both
-            # JSONDecodeError and UnicodeDecodeError (binary garbage).
+            # unreadable/corrupt entry (truncated write, garbage bytes,
+            # valid JSON that is not an object): drop it and re-execute.
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            # (binary garbage) too.
             self.stats.invalidated += 1
             self.stats.corrupt_discarded += 1
             self.stats.misses += 1

@@ -46,7 +46,7 @@ from typing import (
 
 import repro.obs as obs_mod
 from repro.errors import ConfigError
-from repro.harness.cache import CacheStats, ResultCache, point_key
+from repro.harness.cache import ResultCache, point_key
 from repro.harness.experiment import PointResult, PointSpec, run_point, spec_token
 from repro.harness.plan import PlanBatch, RunPlan, dedupe_plans
 
@@ -168,7 +168,6 @@ class ExecutionReport:
     unique_points: int = 0
     executed_points: int = 0
     wall_seconds: float = 0.0
-    cache: Optional[CacheStats] = None
     #: resilience accounting (all zero for plain executors / clean runs)
     retried: int = 0
     timed_out: int = 0
@@ -190,8 +189,6 @@ class ExecutionReport:
                 f"resilience: retried={self.retried} timed-out={self.timed_out} "
                 f"quarantined={self.quarantined}"
             )
-        if self.cache is not None:
-            parts.append(f"cache: {self.cache.summary()}")
         return "; ".join(parts)
 
 
@@ -241,7 +238,6 @@ def execute_plans(
         requested_points=batch.requested_points,
         planned_points=batch.planned_points,
         unique_points=batch.unique_points,
-        cache=cache.stats if cache is not None else None,
     )
     if quarantine_path is None and cache is not None:
         quarantine_path = cache.root / "quarantine.json"

@@ -33,7 +33,6 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
-import repro.obs
 from repro.errors import ConfigError
 from repro.faults import FaultController, parse_fault_plan
 from repro.hardware.cluster import Cluster
@@ -288,9 +287,7 @@ def _run_once(spec: PointSpec, seed: int):
     )
 
 
-def run_point(
-    spec: PointSpec, reps: int = 3, base_seed: int = 0, obs=None
-) -> PointResult:
+def run_point(spec: PointSpec, reps: int = 3, base_seed: int = 0) -> PointResult:
     """Run ``reps`` repetitions and aggregate (paper methodology).
 
     Repetition ``rep`` is seeded with ``point_seed(spec, rep,
@@ -301,16 +298,12 @@ def run_point(
     :class:`repro.harness.resilience.ResilientParallelExecutor` ship
     points to worker processes unchanged.
 
-    ``obs`` optionally activates a :class:`repro.obs.Observability` for
-    the duration (equivalent to wrapping the call in
-    ``repro.obs.activated(obs)``); every repetition binds to it as one
-    trace pid.
+    Under an active :class:`repro.obs.Observability` (see
+    ``repro.obs.activated``) every repetition binds to it as one trace
+    pid.
     """
     if reps < 1:
         raise ConfigError(f"need >= 1 repetition, got {reps}")
-    if obs is not None:
-        with repro.obs.activated(obs):
-            return run_point(spec, reps=reps, base_seed=base_seed)
     w_bw, r_bw, w_io, r_io = [], [], [], []
     profile_runs: Dict[str, list] = {"write": [], "read": []}
     lost_counts = []

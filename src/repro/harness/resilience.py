@@ -232,9 +232,12 @@ class Quarantine:
             try:
                 with open(self.path) as fh:
                     doc = json.load(fh)
+                entries = doc.get("entries", {})  # AttributeError: not an object
+                if not isinstance(entries, dict):
+                    raise ValueError(f"quarantine entries are a {type(entries).__name__}")
                 if doc.get("schema") == self.SCHEMA:
-                    self.entries = dict(doc.get("entries", {}))
-            except (OSError, json.JSONDecodeError, AttributeError):
+                    self.entries = dict(entries)
+            except (OSError, ValueError, AttributeError):
                 self.entries = {}  # corrupt quarantine: start fresh
 
     def has(self, key: str) -> bool:

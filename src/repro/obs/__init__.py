@@ -55,7 +55,6 @@ from repro.obs.ledger import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LatencyHistogram,
     MetricsRegistry,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "ProfileRecorder",
     "OpLedger",
@@ -119,10 +117,6 @@ __all__ = [
     "TID_NODE_BASE",
 ]
 
-#: flow-duration histogram buckets (simulated seconds)
-_FLOW_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
-
-
 class Observability:
     """A metrics registry and a tracer that travel together.
 
@@ -135,14 +129,12 @@ class Observability:
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         timeline: Optional[TimelineConfig] = None,
         profile: Optional[ProfileRecorder] = None,
         ledger: Optional[OpLedger] = None,
     ):
-        self.registry = registry or MetricsRegistry()
-        self.tracer = tracer or Tracer()
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
         #: when set, every bound cluster's simulator routes dispatches
         #: through this recorder (simprof); dormant otherwise
         self.profile = profile
@@ -190,9 +182,8 @@ class Observability:
         started = reg.counter("flownet.flows.started", unit="flows")
         completed = reg.counter("flownet.flows.completed", unit="flows")
         units = reg.counter("flownet.units.transferred", unit="units")
-        durations = reg.histogram(
-            "flownet.flow.duration", unit="s", bounds=_FLOW_BUCKETS,
-            description="lifetime of completed flows",
+        durations = reg.latency_histogram(
+            "flownet.flow.duration", description="lifetime of completed flows"
         )
         # pure bookkeeping in the network: records which constraint bounds
         # each flow; never changes rates, ordering, or modelled results
@@ -313,7 +304,7 @@ class Observability:
         ledger_state = payload.get("ledger")
         if ledger_state is not None:
             if self.ledger is None:
-                self.ledger = OpLedger(substeps=int(ledger_state["substeps"]))
+                self.ledger = OpLedger()
             # exemplar runs shift with the trace pids, so the merged
             # (run, seq) order equals the serial run's exactly
             self.ledger.merge_state(ledger_state, run_offset=pid_offset)
@@ -337,25 +328,6 @@ class Observability:
         ]
         rows.sort(key=lambda r: r[1], reverse=True)
         return rows[:top]
-
-    def reset(self) -> None:
-        """Return to the freshly constructed state: zero metrics, drop
-        spans/link stats/timelines, and re-arm the binding machinery so
-        the next bound cluster starts a clean trace at pid 0.  Keeps the
-        instrument catalogue, so cached instrument references stay
-        valid."""
-        self.registry.reset()
-        self.tracer.clear()
-        if self.profile is not None:
-            self.profile.reset()
-        if self.ledger is not None:
-            self.ledger.reset()
-        self.link_stats.clear()
-        self.timelines.clear()
-        self.run_index = -1
-        self._sampler = None
-        self._bound = None
-        self._finalized = True
 
 
 # ---------------------------------------------------------------- active context

@@ -54,7 +54,6 @@ per-site guards.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -215,8 +214,7 @@ class OpLedger:
     p99 bucket and prints that op's waterfall.
     """
 
-    def __init__(self, substeps: int = 64):
-        self.substeps = int(substeps)
+    def __init__(self) -> None:
         #: op name -> internal (unregistered) latency histogram
         self.hists: Dict[str, LatencyHistogram] = {}
         #: op name -> bucket index -> exemplar record
@@ -255,7 +253,7 @@ class OpLedger:
         latency = ctx.cursor - ctx.start
         hist = self.hists.get(ctx.name)
         if hist is None:
-            hist = LatencyHistogram(ctx.name, substeps=self.substeps)
+            hist = LatencyHistogram(ctx.name)
             self.hists[ctx.name] = hist
         hist.observe(latency)
         bucket = (
@@ -320,26 +318,16 @@ class OpLedger:
         hist = self.hists.get(name)
         if hist is None or hist.count == 0:
             return None
-        rank = max(1, math.ceil(q * hist.count))
-        if rank <= hist.zeros:
-            return ZERO_BUCKET
-        seen = hist.zeros
-        last = ZERO_BUCKET
-        for idx in sorted(hist.counts):
-            seen += hist.counts[idx]
-            last = idx
-            if seen >= rank:
-                return idx
-        return last  # pragma: no cover - rank <= count by construction
+        idx = hist.quantile_index(q)
+        return ZERO_BUCKET if idx is None else idx
 
     def bucket_bounds(self, name: str, bucket: int) -> Tuple[float, float]:
         """``[lo, hi)`` of a bucket (the zeros bucket is ``[0, 0]``)."""
         if bucket == ZERO_BUCKET:
             return 0.0, 0.0
-        hist = self.hists.get(name)
-        if hist is None:
+        if name not in self.hists:
             raise ConfigError(f"no ledger data for op {name!r}")
-        lo, hi = hist.bucket_bounds(bucket)
+        lo, hi = LatencyHistogram.bucket_bounds(bucket)
         return float(lo), float(hi)
 
     def explain(self, name: str, q: float) -> Optional[Dict[str, Any]]:
@@ -375,20 +363,8 @@ class OpLedger:
     # -- cross-process merge -------------------------------------------------
     def dump_state(self) -> Dict[str, Any]:
         """Complete picklable state for shipping to the parent process."""
-        hists: Dict[str, Dict[str, Any]] = {}
-        for name in self.names():
-            hist = self.hists[name]
-            hists[name] = {
-                "counts": [[i, hist.counts[i]] for i in sorted(hist.counts)],
-                "zeros": hist.zeros,
-                "total": hist.total,
-                "count": hist.count,
-                "vmin": hist.vmin,
-                "vmax": hist.vmax,
-            }
         return {
-            "substeps": self.substeps,
-            "hists": hists,
+            "hists": {name: self.hists[name].dump_state() for name in self.names()},
             "exemplars": {
                 name: [[bucket, per[bucket]] for bucket in sorted(per)]
                 for name, per in sorted(self.exemplars.items())
@@ -404,24 +380,12 @@ class OpLedger:
         the global ``(run, seq)`` minimum per bucket — so a serial run
         and any ``--jobs N`` merge produce identical exemplar sets.
         """
-        if int(state["substeps"]) != self.substeps:
-            raise ConfigError(
-                "op ledger substeps differ between merged ledgers "
-                f"({state['substeps']} != {self.substeps})"
-            )
         for name, row in sorted(state["hists"].items()):
             hist = self.hists.get(name)
             if hist is None:
-                hist = LatencyHistogram(name, substeps=self.substeps)
+                hist = LatencyHistogram(name)
                 self.hists[name] = hist
-            for idx, n in row["counts"]:
-                idx = int(idx)
-                hist.counts[idx] = hist.counts.get(idx, 0) + int(n)
-            hist.zeros += int(row["zeros"])
-            hist.total += float(row["total"])
-            hist.count += int(row["count"])
-            hist.vmin = min(hist.vmin, float(row["vmin"]))
-            hist.vmax = max(hist.vmax, float(row["vmax"]))
+            hist.merge_state(row)
         for name, pairs in sorted(state["exemplars"].items()):
             for bucket, record in pairs:
                 shifted = dict(record)
@@ -429,17 +393,6 @@ class OpLedger:
                 self._offer(name, int(bucket), shifted)
         self.ops_recorded += int(state["ops_recorded"])
         self.aborted += int(state["aborted"])
-
-    def reset(self) -> None:
-        """Back to the freshly constructed state."""
-        self.hists.clear()
-        self.exemplars.clear()
-        self.run = 0
-        self.ops_recorded = 0
-        self.aborted = 0
-        self._seq = 0
-        self._rb_depth = 0
-        self._rb_windows = []
 
 
 class NullOpContext:

@@ -12,24 +12,16 @@ scheduling decisions, random streams, or measured bandwidths.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
 ]
-
-
-#: default histogram bucket upper bounds (seconds-ish log scale)
-DEFAULT_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
-)
 
 
 class Instrument:
@@ -43,9 +35,6 @@ class Instrument:
         self.name = name
         self.unit = unit
         self.description = description
-
-    def reset(self) -> None:
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -66,9 +55,6 @@ class Counter(Instrument):
         if amount < 0:
             raise ConfigError(f"counter {self.name!r} cannot decrease ({amount})")
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Gauge(Instrument):
@@ -93,98 +79,18 @@ class Gauge(Instrument):
         if value > self.value:
             self.set(value)
 
-    def reset(self) -> None:
-        self.value = 0.0
-        self.peak = 0.0
-
-
-class Histogram(Instrument):
-    """A fixed-bucket distribution (durations, sizes).
-
-    ``bounds`` are the inclusive upper edges of each bucket; one
-    overflow bucket is added implicitly.  :meth:`quantile` interpolates
-    linearly within the winning bucket, which is the usual
-    Prometheus-style approximation.
-    """
-
-    __slots__ = ("bounds", "counts", "total", "count", "vmin", "vmax")
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        unit: str = "",
-        description: str = "",
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, unit, description)
-        ordered = sorted(float(b) for b in bounds)
-        if not ordered:
-            raise ConfigError(f"histogram {self.name!r} needs at least one bucket")
-        self.bounds: List[float] = ordered
-        self.counts: List[int] = [0] * (len(ordered) + 1)
-        self.total = 0.0
-        self.count = 0
-        self.vmin = math.inf
-        self.vmax = -math.inf
-
-    def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        else:
-            self.counts[-1] += 1
-        self.total += value
-        self.count += 1
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile (q in [0, 1]) by bucket interpolation."""
-        if not 0 <= q <= 1:
-            raise ConfigError(f"quantile must be in [0, 1]: {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            if n == 0:
-                continue
-            if seen + n >= target:
-                lo = self.bounds[i - 1] if i > 0 else max(min(self.vmin, self.bounds[0]), 0.0)
-                hi = self.bounds[i] if i < len(self.bounds) else self.vmax
-                frac = (target - seen) / n
-                return lo + (hi - lo) * frac
-            seen += n
-        return self.vmax
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0.0
-        self.count = 0
-        self.vmin = math.inf
-        self.vmax = -math.inf
-
 
 class LatencyHistogram(Instrument):
     """HDR-style streaming histogram with exact deterministic buckets.
 
-    Where :class:`Histogram` needs its bucket edges chosen up front,
-    this instrument covers the full positive float range with
-    log-spaced buckets computed from the value's binary representation:
-    ``math.frexp(v)`` splits ``v`` into mantissa/exponent, each
-    power-of-two octave is subdivided into ``substeps`` equal-width
-    sub-buckets, so every bucket's bounds are exact dyadic rationals —
-    identical on every platform and process, which is what makes the
-    cross-process :meth:`MetricsRegistry.merge_state` path exact.  With
-    the default 64 substeps the relative bucket width (hence the
-    worst-case quantile error) is under 1.6%.
+    It covers the full positive float range with log-spaced buckets
+    computed from the value's binary representation: ``math.frexp(v)``
+    splits ``v`` into mantissa/exponent, each power-of-two octave is
+    subdivided into :attr:`SUBSTEPS` equal-width sub-buckets, so every
+    bucket's bounds are exact dyadic rationals — identical on every
+    platform and process, which is what makes the cross-process
+    :meth:`dump_state`/:meth:`merge_state` path exact.  The relative
+    bucket width (hence the worst-case quantile error) is under 1.6%.
 
     :meth:`quantile` is rank-based (``rank = max(1, ceil(q * n))``) and
     returns the winning bucket's *lower* edge: the largest
@@ -194,24 +100,16 @@ class LatencyHistogram(Instrument):
     instrument that never observes stays at a handful of machine words.
     """
 
-    __slots__ = ("substeps", "counts", "zeros", "total", "count", "vmin", "vmax")
+    __slots__ = ("counts", "zeros", "total", "count", "vmin", "vmax")
 
     kind = "latency_histogram"
 
-    def __init__(
-        self,
-        name: str,
-        unit: str = "s",
-        description: str = "",
-        substeps: int = 64,
-    ):
+    #: equal-width sub-buckets per power-of-two octave
+    SUBSTEPS = 64
+
+    def __init__(self, name: str, unit: str = "s", description: str = ""):
         super().__init__(name, unit, description)
-        if substeps < 1:
-            raise ConfigError(
-                f"latency histogram {name!r} needs substeps >= 1, got {substeps}"
-            )
-        self.substeps = int(substeps)
-        #: sparse bucket index -> count (index = exponent * substeps + sub)
+        #: sparse bucket index -> count (index = exponent * SUBSTEPS + sub)
         self.counts: Dict[int, int] = {}
         self.zeros = 0
         self.total = 0.0
@@ -219,21 +117,25 @@ class LatencyHistogram(Instrument):
         self.vmin = math.inf
         self.vmax = -math.inf
 
-    def bucket_index(self, value: float) -> int:
+    @classmethod
+    def bucket_index(cls, value: float) -> int:
         """Deterministic bucket of a positive value: its binary octave
-        (frexp exponent) times ``substeps`` plus the linear sub-bucket
-        of the mantissa."""
+        (frexp exponent) times :attr:`SUBSTEPS` plus the linear
+        sub-bucket of the mantissa."""
+        steps = cls.SUBSTEPS
         m, e = math.frexp(value)  # value = m * 2**e with m in [0.5, 1)
-        sub = int((m - 0.5) * (2 * self.substeps))
-        if sub >= self.substeps:  # guard the m -> 1.0 rounding corner
-            sub = self.substeps - 1
-        return e * self.substeps + sub
+        sub = int((m - 0.5) * (2 * steps))
+        if sub >= steps:  # guard the m -> 1.0 rounding corner
+            sub = steps - 1
+        return e * steps + sub
 
-    def bucket_bounds(self, index: int) -> tuple:
+    @classmethod
+    def bucket_bounds(cls, index: int) -> Tuple[float, float]:
         """``[lo, hi)`` edges of a bucket — exact dyadic rationals."""
-        e, sub = divmod(index, self.substeps)
-        lo = math.ldexp(0.5 + sub / (2.0 * self.substeps), e)
-        hi = math.ldexp(0.5 + (sub + 1) / (2.0 * self.substeps), e)
+        steps = cls.SUBSTEPS
+        e, sub = divmod(index, steps)
+        lo = math.ldexp(0.5 + sub / (2.0 * steps), e)
+        hi = math.ldexp(0.5 + (sub + 1) / (2.0 * steps), e)
         return lo, hi
 
     def observe(self, value: float) -> None:
@@ -255,35 +157,57 @@ class LatencyHistogram(Instrument):
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Rank-based q-quantile at bucket resolution (deterministic)."""
+    def quantile_index(self, q: float) -> Optional[int]:
+        """Bucket index holding the rank-based q-quantile; None when it
+        falls in the zeros bucket (or nothing was observed)."""
         if not 0 <= q <= 1:
             raise ConfigError(f"quantile must be in [0, 1]: {q}")
-        if self.count == 0:
-            return 0.0
         rank = max(1, math.ceil(q * self.count))
-        if rank <= self.zeros:
-            return 0.0
         seen = self.zeros
-        last = 0
+        if rank <= seen:
+            return None
         for idx in sorted(self.counts):
             seen += self.counts[idx]
-            last = idx
             if seen >= rank:
-                return float(self.bucket_bounds(idx)[0])
-        return float(self.bucket_bounds(last)[0])  # pragma: no cover
+                return idx
+        return None  # nothing observed
+
+    def quantile(self, q: float) -> float:
+        """Rank-based q-quantile at bucket resolution (deterministic)."""
+        idx = self.quantile_index(q)
+        return 0.0 if idx is None else float(self.bucket_bounds(idx)[0])
 
     def percentiles(self) -> tuple:
         """The report triple: (p50, p99, p999)."""
         return self.quantile(0.5), self.quantile(0.99), self.quantile(0.999)
 
-    def reset(self) -> None:
-        self.counts = {}
-        self.zeros = 0
-        self.total = 0.0
-        self.count = 0
-        self.vmin = math.inf
-        self.vmax = -math.inf
+    # -- cross-process merge ------------------------------------------------
+    def dump_state(self) -> Dict[str, object]:
+        """Complete, mergeable state as plain picklable data."""
+        return {
+            # sorted [index, count] pairs: deterministic and JSON-safe
+            # (a dict would stringify the int keys)
+            "counts": [[i, self.counts[i]] for i in sorted(self.counts)],
+            "zeros": self.zeros,
+            "total": self.total,
+            "count": self.count,
+            "vmin": self.vmin,
+            "vmax": self.vmax,
+        }
+
+    def merge_state(self, row: Dict[str, Any]) -> None:
+        """Fold another histogram's :meth:`dump_state` in.  Bucket
+        indices are value-deterministic, so adding counts reproduces the
+        serial histogram's buckets exactly."""
+        counts = self.counts
+        for idx, n in row["counts"]:
+            idx = int(idx)
+            counts[idx] = counts.get(idx, 0) + int(n)
+        self.zeros += int(row["zeros"])
+        self.total += float(row["total"])
+        self.count += int(row["count"])
+        self.vmin = min(self.vmin, float(row["vmin"]))
+        self.vmax = max(self.vmax, float(row["vmax"]))
 
 
 class MetricsRegistry:
@@ -291,18 +215,16 @@ class MetricsRegistry:
 
     Names are unique across instrument kinds: asking for an existing
     name with a different kind is a programming error and raises
-    :class:`~repro.errors.ConfigError`.  :meth:`reset` zeroes every
-    instrument but keeps the catalogue (so cached references held by
-    instrumented components stay valid across repetitions).
+    :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
 
-    def _get_or_create(self, cls, name: str, unit: str, description: str, **kwargs):
+    def _get_or_create(self, cls, name: str, unit: str, description: str):
         inst = self._instruments.get(name)
         if inst is None:
-            inst = cls(name, unit=unit, description=description, **kwargs)
+            inst = cls(name, unit=unit, description=description)
             self._instruments[name] = inst
             return inst
         if not isinstance(inst, cls):
@@ -318,25 +240,10 @@ class MetricsRegistry:
     def gauge(self, name: str, unit: str = "", description: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, unit, description)
 
-    def histogram(
-        self,
-        name: str,
-        unit: str = "",
-        description: str = "",
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, unit, description, bounds=bounds)
-
     def latency_histogram(
-        self,
-        name: str,
-        unit: str = "s",
-        description: str = "",
-        substeps: int = 64,
+        self, name: str, unit: str = "s", description: str = ""
     ) -> LatencyHistogram:
-        return self._get_or_create(
-            LatencyHistogram, name, unit, description, substeps=substeps
-        )
+        return self._get_or_create(LatencyHistogram, name, unit, description)
 
     def get(self, name: str) -> Optional[Instrument]:
         return self._instruments.get(name)
@@ -352,10 +259,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
-
-    def reset(self) -> None:
-        for inst in self._instruments.values():
-            inst.reset()
 
     # -- reporting -----------------------------------------------------------
     def by_layer(self) -> Dict[str, List[Instrument]]:
@@ -386,13 +289,6 @@ class MetricsRegistry:
                 if inst.count:
                     row["min"] = inst.vmin
                     row["max"] = inst.vmax
-            elif isinstance(inst, Histogram):
-                row.update(
-                    count=inst.count,
-                    sum=inst.total,
-                    mean=inst.mean,
-                    buckets=dict(zip([*map(str, inst.bounds), "+inf"], inst.counts)),
-                )
             out[name] = row
         return out
 
@@ -402,8 +298,8 @@ class MetricsRegistry:
 
         Unlike :meth:`snapshot` (a lossy reporting view) this captures
         everything :meth:`merge_state` needs to reconstruct the
-        instrument in another process: histogram bounds, raw bucket
-        counts, and min/max.  The payload is plain picklable data.
+        instrument in another process: raw bucket counts and min/max.
+        The payload is plain picklable data.
         """
         out: Dict[str, dict] = {}
         for name in self.names():
@@ -419,26 +315,7 @@ class MetricsRegistry:
                 row["value"] = inst.value
                 row["peak"] = inst.peak
             elif isinstance(inst, LatencyHistogram):
-                row.update(
-                    substeps=inst.substeps,
-                    # sorted [index, count] pairs: deterministic and
-                    # JSON-safe (a dict would stringify the int keys)
-                    counts=[[i, inst.counts[i]] for i in sorted(inst.counts)],
-                    zeros=inst.zeros,
-                    total=inst.total,
-                    count=inst.count,
-                    vmin=inst.vmin,
-                    vmax=inst.vmax,
-                )
-            elif isinstance(inst, Histogram):
-                row.update(
-                    bounds=list(inst.bounds),
-                    counts=list(inst.counts),
-                    total=inst.total,
-                    count=inst.count,
-                    vmin=inst.vmin,
-                    vmax=inst.vmax,
-                )
+                row.update(inst.dump_state())
             out[name] = row
         return out
 
@@ -454,56 +331,15 @@ class MetricsRegistry:
         """
         for name, row in sorted(state.items()):
             kind = row["kind"]
+            unit, description = str(row["unit"]), str(row["description"])
             if kind == "counter":
-                self.counter(
-                    name, unit=str(row["unit"]), description=str(row["description"])
-                ).inc(float(row["value"]))
+                self.counter(name, unit, description).inc(float(row["value"]))
             elif kind == "gauge":
-                gauge = self.gauge(
-                    name, unit=str(row["unit"]), description=str(row["description"])
-                )
+                gauge = self.gauge(name, unit, description)
                 gauge.set_max(float(row["peak"]))
                 gauge.value = max(gauge.value, float(row["value"]))
-            elif kind == "histogram":
-                hist = self.histogram(
-                    name,
-                    unit=str(row["unit"]),
-                    description=str(row["description"]),
-                    bounds=row["bounds"],
-                )
-                if list(hist.bounds) != list(row["bounds"]):
-                    raise ConfigError(
-                        f"histogram {name!r} bucket bounds differ between "
-                        f"merged registries"
-                    )
-                for i, n in enumerate(row["counts"]):
-                    hist.counts[i] += int(n)
-                hist.total += float(row["total"])
-                hist.count += int(row["count"])
-                hist.vmin = min(hist.vmin, float(row["vmin"]))
-                hist.vmax = max(hist.vmax, float(row["vmax"]))
             elif kind == "latency_histogram":
-                lat = self.latency_histogram(
-                    name,
-                    unit=str(row["unit"]),
-                    description=str(row["description"]),
-                    substeps=int(row["substeps"]),
-                )
-                if lat.substeps != int(row["substeps"]):
-                    raise ConfigError(
-                        f"latency histogram {name!r} substeps differ between "
-                        f"merged registries"
-                    )
-                # bucket indices are value-deterministic, so adding counts
-                # reproduces the serial histogram bit-for-bit
-                for idx, n in row["counts"]:
-                    idx = int(idx)
-                    lat.counts[idx] = lat.counts.get(idx, 0) + int(n)
-                lat.zeros += int(row["zeros"])
-                lat.total += float(row["total"])
-                lat.count += int(row["count"])
-                lat.vmin = min(lat.vmin, float(row["vmin"]))
-                lat.vmax = max(lat.vmax, float(row["vmax"]))
+                self.latency_histogram(name, unit, description).merge_state(row)
             else:
                 raise ConfigError(f"unknown instrument kind {kind!r} for {name!r}")
 
@@ -520,17 +356,11 @@ class MetricsRegistry:
                     value = f"{inst.value:,.0f}"
                 elif isinstance(inst, Gauge):
                     value = f"{inst.value:,.0f} (peak {inst.peak:,.0f})"
-                elif isinstance(inst, LatencyHistogram):
+                else:
                     p50, p99, p999 = inst.percentiles()
                     value = (
                         f"n={inst.count} p50={p50:.3g} "
                         f"p99={p99:.3g} p999={p999:.3g}"
-                    )
-                else:
-                    value = (
-                        f"n={inst.count} mean={inst.mean:.3g} "
-                        f"p50={inst.quantile(0.5):.3g} "
-                        f"p99={inst.quantile(0.99):.3g}"
                     )
                 lines.append(f"{inst.name:<36}{inst.kind:>10}  {value:>42}  {inst.unit}")
         return "\n".join(lines)

@@ -243,22 +243,6 @@ class ProfileRecorder:
         ]
         return doc
 
-    def reset(self) -> None:
-        """Zero every statistic (the site-name cache survives)."""
-        self.sites.clear()
-        self.events_dispatched = 0
-        self.dispatch_wall = 0.0
-        self.queue_depth_peak = 0
-        self.runs = 0
-        self.recomputes = 0
-        self.recomputes_full = 0
-        self.recompute_flows = 0
-        self.recompute_links_touched = 0
-        self.recompute_edges = 0
-        self.recompute_wall = 0.0
-        self.links_total_peak = 0
-        self._nested = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ProfileRecorder {self.events_dispatched} events, "

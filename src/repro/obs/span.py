@@ -230,7 +230,3 @@ class Tracer:
 
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._stacks.clear()

@@ -44,10 +44,13 @@ __all__ = [
 #: schema version of the exported timeline JSON document
 TIMELINE_SCHEMA = 1
 
+#: hard cap on samples per run (guards against a pathological
+#: interval/elapsed ratio; hitting it stops sampling, never the run)
+MAX_SAMPLES = 100_000
+
 #: per-device channels (``srv0.ssd3.w``) and per-OSD request links
 #: (``osd.srv0.3.ops``) are high-cardinality detail; the node aggregates
-#: carry the same bottleneck signal, so device links are skipped unless
-#: ``TimelineConfig.include_devices`` asks for them.
+#: carry the same bottleneck signal, so device links are never sampled.
 _DEVICE_LINK = re.compile(r"(\.ssd\d+\.[wr]$)|(^osd\.)")
 
 _NODE_PREFIX = re.compile(r"^(cli|srv)\d+")
@@ -63,11 +66,6 @@ class TimelineConfig:
     """
 
     interval: float = 0.02
-    include_devices: bool = False
-    sample_gauges: bool = True
-    #: hard cap on samples per run (guards against a pathological
-    #: interval/elapsed ratio; hitting it stops sampling, never the run)
-    max_samples: int = 100_000
 
 
 class Timeline:
@@ -172,7 +170,7 @@ class TimelineSampler:
         """Called by the simulator before the clock jumps to ``t_new``;
         records every sample boundary crossed by the jump."""
         while self._next_t <= t_new + 1e-12:
-            if len(self.timeline) >= self.config.max_samples:
+            if len(self.timeline) >= MAX_SAMPLES:
                 return
             self._sample(self._next_t)
             self._next_t += self.config.interval
@@ -183,7 +181,7 @@ class TimelineSampler:
         if self._finished:
             return
         self._finished = True
-        if elapsed > self._last_t + 1e-12 and len(self.timeline) < self.config.max_samples:
+        if elapsed > self._last_t + 1e-12 and len(self.timeline) < MAX_SAMPLES:
             self._sample(elapsed)
 
     # -- internals -----------------------------------------------------------
@@ -207,10 +205,9 @@ class TimelineSampler:
         extrapolate = t - net._last_advance
         rates = self._link_rates()
         busy_at_sync = net.busy_integrals()
-        include_devices = self.config.include_devices
         for link in net.links:
             name = link.name
-            if not include_devices and _DEVICE_LINK.search(name):
+            if _DEVICE_LINK.search(name):
                 continue
             busy = float(busy_at_sync[link.index]) + rates.get(name, 0.0) * extrapolate
             prev = self._prev_busy.get(name, 0.0)
@@ -232,7 +229,7 @@ class TimelineSampler:
                 per_node[node] = per_node.get(node, 0) + 1
         for node, count in per_node.items():
             values[f"inflight:{node}"] = float(count)
-        if self.config.sample_gauges and self.registry is not None:
+        if self.registry is not None:
             for inst in self.registry:
                 if inst.kind == "gauge":
                     values[f"gauge:{inst.name}"] = inst.value

@@ -287,7 +287,7 @@ def test_ceph_retried_counter_increments():
     obs = obs_mod.Observability()
     with obs_mod.activated(obs):
         policy = RetryPolicy(max_attempts=8, backoff_base=0.05, jitter=0.0)
-        cluster = Cluster(n_servers=4, n_clients=1, seed=0, obs=obs)
+        cluster = Cluster(n_servers=4, n_clients=1, seed=0)
         ceph = CephCluster(cluster)
         client = RadosClient(ceph, cluster.clients[0], retry_policy=policy)
         sim = cluster.sim

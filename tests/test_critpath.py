@@ -99,7 +99,8 @@ def small_spec(**kwargs):
 
 def test_attribution_sums_to_elapsed():
     o = Observability()
-    run_point(small_spec(), reps=2, obs=o)
+    with activated(o):
+        run_point(small_spec(), reps=2)
     o.finalize()
     runs = analyze_critical_path(o)
     assert len(runs) == 2
@@ -115,7 +116,8 @@ def test_ior_write_attributed_to_server_ssd():
     """The paper's claim, as attribution: a saturating IOR write run is
     dominated by the server SSD write channel."""
     o = Observability()
-    run_point(small_spec(api="DAOS", ppn=8, ops_per_process=16), reps=1, obs=o)
+    with activated(o):
+        run_point(small_spec(api="DAOS", ppn=8, ops_per_process=16), reps=1)
     o.finalize()
     (run,) = analyze_critical_path(o)
     write_phase = next(p for p in run.phases if p.phase == "write")
@@ -150,7 +152,8 @@ def test_zero_elapsed_run_skipped():
 
 def test_aggregate_and_render():
     o = Observability()
-    run_point(small_spec(), reps=2, obs=o)
+    with activated(o):
+        run_point(small_spec(), reps=2)
     o.finalize()
     runs = analyze_critical_path(o)
     rows = aggregate_shares(runs)

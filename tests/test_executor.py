@@ -309,10 +309,17 @@ def test_cache_corruption_recovery(tmp_path):
     assert cache.get(DD, 1) is None
     assert not path.exists()
 
-    assert cache.stats.corrupt_discarded == 3
-    assert cache.stats.invalidated == 3
-    assert cache.stats.misses == 3
-    assert "3 corrupt discarded" in cache.stats.summary()
+    # valid JSON that is not an object
+    for payload in ("[1, 2]", "null", '"x"', "3"):
+        cache.put(result)
+        path.write_text(payload)
+        assert cache.get(DD, 1) is None, payload
+        assert not path.exists()
+
+    assert cache.stats.corrupt_discarded == 7
+    assert cache.stats.invalidated == 7
+    assert cache.stats.misses == 7
+    assert "7 corrupt discarded" in cache.stats.summary()
 
     # recomputing repopulates the slot and it reads back clean
     cache.put(result)

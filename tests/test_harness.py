@@ -181,6 +181,16 @@ def test_cli_markdown_output(tmp_path, capsys):
     assert f"markdown written to {md_path}" in capsys.readouterr().out
 
 
+def test_cli_prints_cache_statistics_once(tmp_path, capsys):
+    from repro.harness.cli import main
+
+    cache_dir = tmp_path / "cache"
+    assert main(["HW", "--cache-dir", str(cache_dir)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "cache:" in line]
+    assert len(lines) == 1
+    assert lines[0].endswith(f"-> {cache_dir}")
+
+
 @pytest.mark.parametrize("flag", OUTPUT_FLAGS)
 def test_cli_output_path_in_missing_directory_is_a_usage_error(
     flag, tmp_path, monkeypatch, capsys

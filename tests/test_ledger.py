@@ -26,6 +26,7 @@ from repro.obs import (
     render_tail_exemplars,
     render_waterfall,
 )
+from repro.obs import activated
 from repro.obs.ledger import ZERO_BUCKET
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.randomness import RngStreams
@@ -153,7 +154,8 @@ def test_rebuild_window_overlap():
 @pytest.fixture(scope="module")
 def fd_ledger():
     obs = Observability(ledger=OpLedger())
-    run_point(fd_spec(), reps=2, base_seed=0, obs=obs)
+    with activated(obs):
+        run_point(fd_spec(), reps=2, base_seed=0)
     obs.finalize()
     return obs.ledger
 
@@ -197,7 +199,8 @@ def test_fd_explain_resolves_p99(fd_ledger):
 
 def test_ceph_ec_degraded_read_exemplar_has_reconstruct_component():
     obs = Observability(ledger=OpLedger())
-    cluster = Cluster(n_servers=4, n_clients=1, seed=0, obs=obs)
+    with activated(obs):
+        cluster = Cluster(n_servers=4, n_clients=1, seed=0)
     ceph = CephCluster(cluster)
     client = RadosClient(ceph, cluster.clients[0])
     payload = bytes((i * 13) % 256 for i in range(64 * KiB))
@@ -238,7 +241,8 @@ def test_daos_backoff_component_equals_seeded_draws():
         backoff_factor=2.0, jitter=0.1,
     )
     obs = Observability(ledger=OpLedger())
-    cluster = Cluster(n_servers=2, n_clients=1, seed=7, obs=obs)
+    with activated(obs):
+        cluster = Cluster(n_servers=2, n_clients=1, seed=7)
     env = DaosEnv(cluster, retry_policy=policy)
     client = env.client(cluster.clients[0])
     sim = cluster.sim
@@ -312,21 +316,13 @@ def test_serial_and_parallel_ledgers_merge_identically():
     assert serial_ledger.dump_state() == parallel_ledger.dump_state()
 
 
-def test_merge_rejects_substeps_mismatch():
-    a, b = OpLedger(substeps=64), OpLedger(substeps=32)
-    with pytest.raises(ConfigError, match="substeps"):
-        a.merge_state(b.dump_state())
-
-
 # -- dormancy: identical modelled results with the ledger on or off ------------
 
 
 def test_results_identical_with_ledger_on_off():
     plain = run_point(small_spec(), reps=2, base_seed=3)
-    ledgered = run_point(
-        small_spec(), reps=2, base_seed=3,
-        obs=Observability(ledger=OpLedger()),
-    )
+    with activated(Observability(ledger=OpLedger())):
+        ledgered = run_point(small_spec(), reps=2, base_seed=3)
     assert plain.write_bw == ledgered.write_bw
     assert plain.read_bw == ledgered.read_bw
     assert plain.write_iops == ledgered.write_iops

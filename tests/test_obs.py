@@ -10,7 +10,7 @@ from repro.errors import ConfigError
 from repro.obs import (
     Counter,
     Gauge,
-    Histogram,
+    LatencyHistogram,
     MetricsRegistry,
     Observability,
     Tracer,
@@ -40,7 +40,7 @@ def test_registry_kind_conflict_raises():
     with pytest.raises(ConfigError):
         reg.gauge("x.ops")
     with pytest.raises(ConfigError):
-        reg.histogram("x.ops")
+        reg.latency_histogram("x.ops")
 
 
 def test_counter_monotonic():
@@ -63,50 +63,21 @@ def test_gauge_peak_tracking():
     assert g.value == 20 and g.peak == 20
 
 
-def test_histogram_bucketing():
-    h = Histogram("h", bounds=(1.0, 10.0, 100.0))
-    for v in (0.5, 1.0, 5.0, 50.0, 500.0):
-        h.observe(v)
-    assert h.counts == [2, 1, 1, 1]  # <=1, <=10, <=100, overflow
-    assert h.count == 5
-    assert h.mean == pytest.approx(556.5 / 5)
-    assert h.vmin == 0.5 and h.vmax == 500.0
-    assert h.quantile(0.0) <= h.quantile(0.5) <= h.quantile(1.0)
-    assert h.quantile(1.0) == pytest.approx(500.0)
-    with pytest.raises(ConfigError):
-        h.quantile(1.5)
-    with pytest.raises(ConfigError):
-        Histogram("empty", bounds=())
-
-
-def test_registry_reset_keeps_catalogue_and_references():
-    reg = MetricsRegistry()
-    c = reg.counter("a.ops")
-    g = reg.gauge("a.depth")
-    h = reg.histogram("a.lat", bounds=(1.0,))
-    c.inc(5)
-    g.set(3)
-    h.observe(0.5)
-    reg.reset()
-    assert reg.counter("a.ops") is c  # cached references stay valid
-    assert c.value == 0 and g.value == 0 and g.peak == 0 and h.count == 0
-    c.inc()
-    assert reg.counter("a.ops").value == 1
-
-
 def test_registry_by_layer_and_snapshot():
     reg = MetricsRegistry()
     reg.counter("daos.rpc.count").inc(7)
     reg.counter("daos.bytes.written", unit="B").inc(100)
     reg.gauge("sim.heap_peak").set(42)
-    reg.histogram("flownet.flow.duration", bounds=(1.0,)).observe(0.5)
+    reg.latency_histogram("flownet.flow.duration").observe(0.5)
     layers = reg.by_layer()
     assert set(layers) == {"daos", "sim", "flownet"}
     assert len(layers["daos"]) == 2
     snap = reg.snapshot()
     assert snap["daos.rpc.count"] == {"kind": "counter", "unit": "", "value": 7.0}
     assert snap["sim.heap_peak"]["peak"] == 42.0
-    assert snap["flownet.flow.duration"]["buckets"] == {"1.0": 1, "+inf": 0}
+    flow = snap["flownet.flow.duration"]
+    assert flow["kind"] == "latency_histogram" and flow["count"] == 1
+    assert flow["p50"] == flow["min"] == flow["max"] == 0.5
     json.dumps(snap)  # plain data, JSON-safe
     table = reg.render_table()
     assert "daos.rpc.count" in table and "counter" in table
@@ -263,7 +234,8 @@ def test_observed_run_collects_all_layers():
     from repro.harness.experiment import run_point
 
     o = Observability()
-    run_point(small_spec(), reps=2, obs=o)
+    with activated(o):
+        run_point(small_spec(), reps=2)
     assert {"sim", "flownet", "daos", "workload"} <= set(o.tracer.categories())
     reg = o.registry
     assert reg.counter("sim.events_executed").value > 0
@@ -290,11 +262,10 @@ def test_instrumentation_is_zero_overhead_on_results():
     from repro.obs import TimelineConfig
 
     plain = run_point(small_spec(), reps=2, base_seed=3)
-    observed = run_point(small_spec(), reps=2, base_seed=3, obs=Observability())
-    sampled = run_point(
-        small_spec(), reps=2, base_seed=3,
-        obs=Observability(timeline=TimelineConfig(interval=0.001)),
-    )
+    with activated(Observability()):
+        observed = run_point(small_spec(), reps=2, base_seed=3)
+    with activated(Observability(timeline=TimelineConfig(interval=0.001))):
+        sampled = run_point(small_spec(), reps=2, base_seed=3)
     for other in (observed, sampled):
         assert plain.write_bw == other.write_bw
         assert plain.read_bw == other.read_bw
@@ -307,7 +278,8 @@ def test_bottleneck_summary_renders():
     from repro.obs.report import render_bottlenecks
 
     o = Observability()
-    run_point(small_spec(), reps=1, obs=o)
+    with activated(o):
+        run_point(small_spec(), reps=1)
     text = render_bottlenecks(o)
     assert "top spans" in text
     assert "hottest links" in text
@@ -315,39 +287,6 @@ def test_bottleneck_summary_renders():
     assert "daos" in text
     empty = render_bottlenecks(Observability())
     assert "no instrumentation data" in empty
-
-
-def test_observability_reset():
-    from repro.harness.experiment import run_point
-
-    o = Observability()
-    run_point(small_spec(), reps=1, obs=o)
-    assert o.tracer.spans and o.link_stats
-    names_before = o.registry.names()
-    o.reset()
-    assert o.tracer.spans == [] and o.link_stats == {}
-    assert o.registry.names() == names_before
-    assert o.registry.counter("workload.bytes").value == 0
-
-
-def test_reset_rearms_run_index_and_binding():
-    """Regression: a reused Observability must start a clean trace —
-    run_index back to -1, binding machinery re-armed, so the next bound
-    cluster records pid 0 again."""
-    from repro.harness.experiment import run_point
-    from repro.obs import TimelineConfig
-
-    o = Observability(timeline=TimelineConfig(interval=0.01))
-    run_point(small_spec(), reps=2, obs=o)
-    assert o.run_index == 1 and len(o.timelines) == 2
-    o.reset()
-    assert o.run_index == -1
-    assert o.timelines == []
-    assert o._bound is None and o._finalized
-    run_point(small_spec(), reps=1, obs=o)
-    o.finalize()
-    assert {s.pid for s in o.tracer.spans} == {0}
-    assert len(o.timelines) == 1
 
 
 def test_hottest_links_aggregates_across_clusters():
@@ -378,9 +317,30 @@ def test_hottest_links_aggregates_across_clusters():
     assert {k: list(v) for k, v in o.link_stats.items()} == stats_before
 
 
+def test_flow_duration_is_a_latency_histogram():
+    """A zero-size flow lands in the zeros bucket, a 1 s flow in the
+    bucket whose [lo, hi) holds 1.0."""
+    from repro.hardware.cluster import Cluster
+
+    o = Observability()
+    with activated(o):
+        cluster = Cluster(n_servers=1, n_clients=1, seed=0)
+    link = cluster.net.add_link("x.link", 100.0)
+    cluster.net.transfer(0.0, [(link, 1.0)], name="empty")
+    cluster.net.transfer(100.0, [(link, 1.0)], name="one-second")
+    cluster.sim.run()
+    hist = o.registry.get("flownet.flow.duration")
+    assert isinstance(hist, LatencyHistogram)
+    assert hist.count == 2 and hist.zeros == 1
+    [(idx, n)] = hist.counts.items()
+    lo, hi = hist.bucket_bounds(idx)
+    assert n == 1 and lo <= 1.0 < hi
+    assert hist.vmax == 1.0
+
+
 def test_render_table_histogram_percentiles():
     reg = MetricsRegistry()
-    h = reg.histogram("a.lat", unit="s", bounds=(1.0, 10.0, 100.0))
+    h = reg.latency_histogram("a.lat")
     for v in (0.5, 2.0, 5.0, 50.0):
         h.observe(v)
     table = reg.render_table()

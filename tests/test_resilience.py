@@ -337,16 +337,22 @@ def test_hole_result_is_all_nan():
 
 def test_quarantine_survives_corrupt_file(tmp_path):
     qpath = tmp_path / "q.json"
-    qpath.write_text("{broken")
-    q = Quarantine(qpath)
-    assert len(q) == 0
-    q.add(
-        key="k", token=spec_token(SMALL), reps=2, base_seed=0,
-        attempts=3, reason="error", error="Boom: x",
-    )
-    again = Quarantine(qpath)
-    assert again.has("k")
-    assert again.entries["k"]["spec_token"] == spec_token(SMALL)
+    # garbage, then well-formed documents whose entries are no mapping
+    corrupt = ["{broken"] + [
+        f'{{"schema": {Quarantine.SCHEMA}, "entries": {entries}}}'
+        for entries in ("[1, 2]", "5", '"ab"', "null")
+    ]
+    for text in corrupt:
+        qpath.write_text(text)
+        q = Quarantine(qpath)
+        assert len(q) == 0, text
+        q.add(
+            key="k", token=spec_token(SMALL), reps=2, base_seed=0,
+            attempts=3, reason="error", error="Boom: x",
+        )
+        again = Quarantine(qpath)
+        assert again.has("k")
+        assert again.entries["k"]["spec_token"] == spec_token(SMALL)
 
 
 def test_sigint_handler_restored(serial_figure):

@@ -62,7 +62,7 @@ def test_config_rejects_nan_interval():
 def test_window_average_utilisation_is_exact():
     """One flow at a known rate: every sample window must read the exact
     analytic utilisation, including the final partial window."""
-    o = Observability(timeline=TimelineConfig(interval=1.0, sample_gauges=False))
+    o = Observability(timeline=TimelineConfig(interval=1.0))
     cluster = observed_cluster(o)
     link = cluster.net.add_link("srv9.test.w", 100.0)
     # 250 units over a 100 u/s link, demand-capped to 50 u/s -> 5 s at 50%
@@ -78,7 +78,7 @@ def test_window_average_utilisation_is_exact():
 
 
 def test_final_partial_window_recorded():
-    o = Observability(timeline=TimelineConfig(interval=2.0, sample_gauges=False))
+    o = Observability(timeline=TimelineConfig(interval=2.0))
     cluster = observed_cluster(o)
     link = cluster.net.add_link("srv9.test.w", 100.0)
     cluster.net.transfer(300.0, [(link, 1.0)], name="t")  # 3 s at 100%
@@ -90,7 +90,7 @@ def test_final_partial_window_recorded():
 
 
 def test_inflight_and_device_filtering():
-    o = Observability(timeline=TimelineConfig(interval=1.0, sample_gauges=False))
+    o = Observability(timeline=TimelineConfig(interval=1.0))
     cluster = observed_cluster(o)
     agg = cluster.net.add_link("srv5.ssdagg.w", 100.0)
     dev = cluster.net.add_link("srv5.ssd0.w", 100.0)
@@ -102,16 +102,6 @@ def test_inflight_and_device_filtering():
     assert "util:srv5.ssd0.w" not in tl.series  # device links filtered
     assert tl.column("flows.active") == pytest.approx([1.0])
     assert tl.column("inflight:srv5") == pytest.approx([1.0])
-    # include_devices=True keeps them
-    o2 = Observability(timeline=TimelineConfig(
-        interval=1.0, sample_gauges=False, include_devices=True))
-    c2 = observed_cluster(o2, seed=1)
-    agg2 = c2.net.add_link("srv5.ssdagg.w", 100.0)
-    dev2 = c2.net.add_link("srv5.ssd0.w", 100.0)
-    c2.net.transfer(100.0, [(agg2, 1.0), (dev2, 1.0)], name="t")
-    c2.sim.run()
-    o2.finalize()
-    assert "util:srv5.ssd0.w" in o2.timelines[0].series
 
 
 # -- acceptance: saturation shape during an IOR write ----------------------------
@@ -123,7 +113,8 @@ def test_ior_write_pins_server_ssd_channel():
     o = Observability(timeline=TimelineConfig(interval=0.005))
     spec = PointSpec(workload="ior", store="daos", api="DAOS",
                      n_servers=2, n_client_nodes=2, ppn=8, ops_per_process=16)
-    run_point(spec, reps=1, obs=o)
+    with activated(o):
+        run_point(spec, reps=1)
     o.finalize()
     tl = o.timelines[0]
     assert len(tl) > 10
@@ -142,9 +133,11 @@ def test_run_with_timeline_has_no_extra_events():
     spec = PointSpec(workload="ior", store="daos", api="DFS",
                      n_servers=2, n_client_nodes=2, ppn=4, ops_per_process=8)
     o_plain = Observability()
-    run_point(spec, reps=1, base_seed=5, obs=o_plain)
+    with activated(o_plain):
+        run_point(spec, reps=1, base_seed=5)
     o_tl = Observability(timeline=TimelineConfig(interval=0.001))
-    run_point(spec, reps=1, base_seed=5, obs=o_tl)
+    with activated(o_tl):
+        run_point(spec, reps=1, base_seed=5)
     plain_events = o_plain.registry.counter("sim.events_executed").value
     tl_events = o_tl.registry.counter("sim.events_executed").value
     assert plain_events == tl_events

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 from repro.ceph.osd import Osd
 from repro.errors import ConfigError
-from repro.sim.randomness import stable_hash64
+from repro.sim.randomness import stable_hash64, stable_hash64_with_prefix
 
 __all__ = ["PgMap"]
 
@@ -34,6 +34,9 @@ class PgMap:
             raise ConfigError(f"pool size {size} out of range 1..{len(osds)}")
         self.pool_name = pool_name
         self.pg_num = pg_num
+        # object name -> stable_hash64("rados", pool_name, name), with the
+        # constant prefix hashed once per map
+        self._hash_name = stable_hash64_with_prefix("rados", pool_name)
         self.size = size
         self.osds = list(osds)
         self._acting: List[List[int]] = []
@@ -63,7 +66,7 @@ class PgMap:
             self._acting.append(acting)
 
     def pg_of(self, object_name: str) -> int:
-        return stable_hash64("rados", self.pool_name, object_name) % self.pg_num
+        return self._hash_name(object_name) % self.pg_num
 
     def acting_set(self, object_name: str) -> List[Osd]:
         """All OSDs holding the object (primary first)."""

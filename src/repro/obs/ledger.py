@@ -71,8 +71,11 @@ __all__ = [
     "parse_quantile",
 ]
 
-#: pseudo bucket index of the histogram's dedicated zero-latency bucket
-ZERO_BUCKET = -1
+#: pseudo bucket index of the histogram's dedicated zero-latency bucket:
+#: below every real index (the smallest positive float's frexp octave is
+#: -1073, so real indices start at -1073 * SUBSTEPS), so no latency can
+#: share its exemplar slot and it sorts first
+ZERO_BUCKET = -1074 * LatencyHistogram.SUBSTEPS
 
 
 def parse_quantile(text: str) -> float:

@@ -43,13 +43,14 @@ components' freeze events, and a per-component re-solve would round
 differently (~1 ulp) — the byte-identical series contract forbids that.
 Two arithmetically identical solver bodies are kept: a vectorised one
 (NumPy bincount over the incidence, one filling pass is O(nnz)) for
-large populations and a scalar one for small ones, where interpreter
-loops beat ufunc dispatch overhead.  The scalar one runs on dense local
-link ids (the solve's links renumbered 0..L-1) with per-flow edge runs
-and per-link flow lists; in the same small-population regime the
-per-event bodies work on Python floats read once with ``tolist()``, and
-departures compact the arrays with one slice copy per run of surviving
-rows.
+solves over more than 128 edges and a scalar one for up to 128 edges,
+whatever the flow count, where interpreter loops beat ufunc dispatch
+overhead (docs/PERFORMANCE.md §1 has the measured crossover).  The
+scalar one runs on dense local link ids (the solve's links renumbered
+0..L-1) with per-flow edge runs and per-link flow lists.  With at most
+16 flows the per-event bodies work on Python floats read once with
+``tolist()``, and departures (with at most 128 edges too) compact the
+arrays with one slice copy per run of surviving rows.
 Both solvers execute the same IEEE-754 operation sequence, so which one
 runs never changes a single bit of any rate (guarded by
 tests/test_flownet.py).
@@ -244,8 +245,11 @@ class Flow:
 class FlowNetwork:
     """Container for links plus the active-flow allocation machinery."""
 
-    #: population bounds below which the scalar solver / sync paths run
-    #: (same arithmetic, lower constant); above them NumPy wins
+    #: population bounds below which the scalar paths run (same
+    #: arithmetic, lower constant); above them NumPy wins.  The solver
+    #: is chosen by edge count alone, the per-event bodies (sync,
+    #: completion scheduling and batching) by flow count, row removal
+    #: by both
     _SCALAR_MAX_FLOWS = 16
     _SCALAR_MAX_EDGES = 128
 
@@ -662,7 +666,7 @@ class FlowNetwork:
                 profile.recompute_end(token, 0, 0, nlinks, 0)
             return
         ne = self._ne
-        if n <= self._SCALAR_MAX_FLOWS and ne <= self._SCALAR_MAX_EDGES:
+        if ne <= self._SCALAR_MAX_EDGES:
             self._solve_scalar(n, nlinks, ne)
         else:
             self._solve_vector(n, nlinks, ne)

@@ -16,10 +16,11 @@ parallel reproducible streams.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["RngStreams", "stable_hash64"]
+__all__ = ["RngStreams", "stable_hash64", "stable_hash64_with_prefix"]
 
 
 def stable_hash64(*parts: object) -> int:
@@ -34,6 +35,26 @@ def stable_hash64(*parts: object) -> int:
         h.update(repr(part).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+def stable_hash64_with_prefix(*prefix: object) -> Callable[[object], int]:
+    """``stable_hash64_with_prefix(*prefix)(part) == stable_hash64(*prefix, part)``.
+
+    ``prefix`` is fed to the hash once; each call feeds its ``part`` to
+    a copy of that state.  The bytes fed are :func:`stable_hash64`'s,
+    so the hash is too, at the cost of one part instead of all of them.
+    """
+    head = hashlib.blake2b(digest_size=8)
+    for part in prefix:
+        head.update(repr(part).encode())
+        head.update(b"\x1f")
+
+    def hash64(part: object) -> int:
+        h = head.copy()
+        h.update(repr(part).encode() + b"\x1f")
+        return int.from_bytes(h.digest(), "little")
+
+    return hash64
 
 
 class RngStreams:

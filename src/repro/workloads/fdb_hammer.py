@@ -33,10 +33,9 @@ KV_VALUE_SIZE = 24
 
 
 class _FdbRunnerBase(PhasedRunner):
-    """Shared shape: per-rank FDB session + key sequence."""
-
-    def _keys(self, rank: int) -> List[Any]:
-        return list(key_sequence(self.cfg.ops_per_process, member=rank))
+    """Shared shape: per-rank FDB session.  Exact mode also holds the
+    rank's key sweep, which only its per-op archive/retrieve read; the
+    aggregate batch flows are sized from counts and name no key."""
 
     def make_backend(self, rank: Rank) -> Any:
         raise NotImplementedError
@@ -44,7 +43,10 @@ class _FdbRunnerBase(PhasedRunner):
     def setup(self, rank: Rank) -> Generator[Any, Any, Any]:
         fdb = FDB(self.make_backend(rank))
         yield from fdb.open(writer=True)
-        return {"fdb": fdb, "keys": self._keys(rank.rank), "rank": rank.rank}
+        state: Dict[str, Any] = {"fdb": fdb}
+        if self.cfg.mode == "exact":
+            state["keys"] = list(key_sequence(self.cfg.ops_per_process, member=rank.rank))
+        return state
 
     def write_op(self, state: Any, i: int) -> Generator[Any, Any, None]:
         yield from state["fdb"].archive(state["keys"][i], nbytes=self.cfg.op_size)
@@ -184,12 +186,12 @@ class _FdbLustreRunner(_FdbRunnerBase):
     def setup(self, rank: Rank) -> Generator[Any, Any, Any]:
         state = yield from super().setup(rank)
         if self.cfg.mode == "aggregate":
-            # register the keys' locators so read-phase lookups resolve
+            # the batch flows stand for every field this rank archives:
+            # advance the data file and index as archiving them would
             backend: FdbPosixBackend = state["fdb"].backend
-            for i, key in enumerate(state["keys"]):
-                backend._index[key.canonical()] = (i * self.cfg.op_size, self.cfg.op_size, i)
-                backend._data_offset += self.cfg.op_size
-                backend._index_count += 1
+            n = self.cfg.ops_per_process
+            backend._data_offset += n * self.cfg.op_size
+            backend._index_count += n
         return state
 
 
@@ -240,7 +242,6 @@ class _FdbRadosRunner(_FdbRunnerBase):
                     name = backend._object_name(seq)
                     primary = placed[seq] = pool.pgmap.primary(name)
                     pool.object_sizes[name] = cfg.op_size
-                    backend._index[state["keys"][seq].canonical()] = (name, cfg.op_size)
                 elif seq in placed:
                     primary = placed[seq]
                 else:

@@ -1,10 +1,13 @@
 """Ceph model: PG placement, librados semantics, efficiency ceilings."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.ceph import CephCluster, CephParams, PgMap, RadosClient
 from repro.errors import ConfigError, InvalidArgumentError, NotFoundError
 from repro.hardware import Cluster
+from repro.sim.randomness import stable_hash64
 from repro.units import GiB, KiB, MiB
 
 
@@ -177,6 +180,25 @@ def test_pgmap_acting_sets_distinct():
     for obj in ("a", "b", "c", "d"):
         acting = pg.acting_set(obj)
         assert len({o.index for o in acting}) == 3
+
+
+_PG_OSDS = build()[1].osds
+#: names that stress repr(): quotes of both kinds, backslashes, escapes
+#: and non-ASCII text
+_awkward_names = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from("'\"\\\n\x1f\u00e9\u4e2d\U0001f600 a.0")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_name=_awkward_names, name=_awkward_names, pg_num=st.integers(1, 4096))
+@example(pool_name="fdb", name="fdb.0.0", pg_num=1024)
+@example(pool_name="it's", name='say "\\x1f"\n', pg_num=7)
+def test_pg_of_hashes_the_rados_prefix_once_to_the_same_hash(pool_name, name, pg_num):
+    pg = PgMap(pool_name, pg_num, _PG_OSDS)
+    assert pg.pg_of(name) == stable_hash64("rados", pool_name, name) % pg_num
+    assert pg.primary(name) is _PG_OSDS[pg._acting[pg.pg_of(name)][0]]
 
 
 def test_many_pgs_balance_primaries():

@@ -402,9 +402,11 @@ LINK_CAP = 2699422.8106198553
 
 
 def _force_solver(net, vector):
-    """Pin the net to one solver implementation via the size thresholds."""
+    """Pin the net to one solver implementation via the size thresholds
+    (-1: even a population with no edges takes the vector paths)."""
     if vector:
-        net._SCALAR_MAX_FLOWS = 0
+        net._SCALAR_MAX_FLOWS = -1
+        net._SCALAR_MAX_EDGES = -1
     else:
         net._SCALAR_MAX_FLOWS = 10**9
         net._SCALAR_MAX_EDGES = 10**9
@@ -468,6 +470,86 @@ def test_scalar_and_vector_solvers_bitwise_identical():
     scalar = run(vector=False)
     vector = run(vector=True)
     assert scalar == vector  # exact: solvers share one IEEE-754 op sequence
+
+
+def _rate_history(net):
+    """Record the full rate vector after every reallocation."""
+    history = []
+    reallocate = net._reallocate
+
+    def recording():
+        reallocate()
+        history.append(net._f_rate[: net._nf].tolist())
+
+    net._reallocate = recording
+    return history
+
+
+def _metadata_burst(net):
+    """40 single-edge flows on one metadata link, as a container's
+    home-engine md link sees them during setup: staggered arrivals,
+    mixed weights, a few demand caps."""
+    md = net.add_link("md", 1000.0)
+    return [
+        {"name": f"md{i}", "size": 1.0 + i, "usages": [(md, 1.0 / (1 + i % 3))],
+         "demand_cap": 30.0 + i if i % 7 == 0 else math.inf,
+         "start_delay": 0.001 * (i % 5)}
+        for i in range(40)
+    ]
+
+
+def _mixed_population(net):
+    """24 flows with 100 edges over 11 links (4 flows of 5 edges, 20 of
+    4), all arriving together."""
+    links = [net.add_link(f"l{j}", 50.0 + 13.0 * j) for j in range(11)]
+    return [
+        {"name": f"f{i}", "size": 10.0 + 3.0 * i,
+         "usages": [(links[(i + 3 * j) % 11], 0.5 + 0.25 * ((i + j) % 4))
+                    for j in range(5 if i < 4 else 4)],
+         "demand_cap": 4.0 + i if i % 5 == 0 else math.inf}
+        for i in range(24)
+    ]
+
+
+@pytest.mark.parametrize("population", [_metadata_burst, _mixed_population],
+                         ids=["40-single-edge", "24-flows-100-edges"])
+def test_solver_is_chosen_by_edge_count(population):
+    """Populations of more than 16 flows but at most 128 edges: the
+    forced scalar and forced vector solvers give bitwise-equal rates at
+    every reallocation, and the default network solves them all with
+    the scalar solver."""
+    def run(vector):
+        sim, net = make_net()
+        _force_solver(net, vector)
+        history = _rate_history(net)
+        return history, run_flows(sim, net, population(net))
+
+    scalar_rates, scalar_done = run(vector=False)
+    vector_rates, vector_done = run(vector=True)
+    assert max(len(r) for r in scalar_rates) > FlowNetwork._SCALAR_MAX_FLOWS
+    assert scalar_rates == vector_rates  # exact: one IEEE-754 op sequence
+    assert scalar_done == vector_done
+
+    sim, net = make_net()
+    solves = []
+    solve_scalar = net._solve_scalar
+
+    def scalar(n, nlinks, ne):
+        assert ne <= FlowNetwork._SCALAR_MAX_EDGES
+        solves.append((n, ne))
+        solve_scalar(n, nlinks, ne)
+
+    def vector(n, nlinks, ne):
+        raise AssertionError(f"vector solver picked for {n} flows, {ne} edges")
+
+    net._solve_scalar = scalar
+    net._solve_vector = vector
+    history = _rate_history(net)
+    assert run_flows(sim, net, population(net)) == scalar_done
+    assert history == scalar_rates
+    assert max(n for n, _ in solves) > FlowNetwork._SCALAR_MAX_FLOWS
+    if population is _mixed_population:
+        assert max(solves) == (24, 100)
 
 
 def test_run_until_leaves_flows_consistent():

@@ -104,6 +104,24 @@ def test_zero_latency_op_lands_in_zero_bucket():
     assert ledger.bucket_bounds("op", ZERO_BUCKET) == (0.0, 0.0)
 
 
+def test_zero_bucket_shares_no_slot_with_a_real_latency():
+    """Latencies in [0.49609375, 0.5) s have histogram bucket -1: a
+    zero-latency op must not take that bucket's exemplar slot."""
+    sim = FakeSim()
+    ledger = OpLedger()
+    with ledger.op("op", sim):
+        sim.now = 0.498
+    with ledger.op("op", sim):
+        pass
+    records = exemplar_records(ledger)
+    assert sorted(rec["latency"] for rec in records) == [0.0, 0.498]
+    info = ledger.explain("op", 1.0)
+    assert info["bucket"] == -1 != ZERO_BUCKET
+    assert (info["lo"], info["hi"]) == (0.49609375, 0.5)
+    assert info["exemplar"]["latency"] == 0.498
+    assert ledger.explain("op", 0.5)["exemplar"]["latency"] == 0.0
+
+
 def test_exception_aborts_without_recording():
     sim = FakeSim()
     ledger = OpLedger()

@@ -191,7 +191,7 @@ def test_scalar_and_vector_solvers_agree(caps, specs):
     sequence gives bitwise-identical completion times (they share one
     IEEE-754 operation order)."""
     scalar = _completion_times(caps, specs, scalar_max=10**9)
-    vector = _completion_times(caps, specs, scalar_max=0)
+    vector = _completion_times(caps, specs, scalar_max=-1)
     assert scalar == vector  # exact: solvers are bitwise interchangeable
 
 
@@ -248,7 +248,7 @@ def test_settled_busy_integrals_match_per_event_accumulation(caps, specs, cancel
     bodies settle bitwise-identical integrals."""
     _completion_times(caps, specs, net_cls=_ReferenceBusyNet, cancels=cancels)
     scalar = _completion_times(caps, specs, scalar_max=10**9, cancels=cancels)
-    vector = _completion_times(caps, specs, scalar_max=0, cancels=cancels)
+    vector = _completion_times(caps, specs, scalar_max=-1, cancels=cancels)
     assert scalar == vector  # exact: one settle path, bitwise-equal remainders
 
 

@@ -1,9 +1,15 @@
 """Field I/O, fdb-hammer, and raw-bandwidth probe workloads."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.ceph.rados import RadosClient
+from repro.daos.client import DaosClient
 from repro.errors import ConfigError
 from repro.hardware import Cluster
+from repro.lustre.client import LustreClient
 from repro.units import GiB, Gbps, MiB
 from repro.workloads.common import CephEnv, DaosEnv, LustreEnv, WorkloadConfig
 from repro.workloads.fdb_hammer import run_fdb_hammer
@@ -100,6 +106,91 @@ def test_fdb_hammer_rados(mode):
     env = CephEnv(Cluster(n_servers=4, n_clients=2, seed=0))
     rec = run_fdb_hammer(env, cfg(mode=mode), "RADOS")
     assert rec.bandwidth("write") > 0
+    assert rec.bandwidth("read") > 0
+
+
+_FDB_BACKEND_ENVS = {
+    "DAOS": (DaosEnv, DaosClient),
+    "LUSTRE": (LustreEnv, LustreClient),
+    "RADOS": (CephEnv, RadosClient),
+}
+
+#: aggregate fdb-hammer with ``cfg()`` on 4 servers / 2 clients, seed 0:
+#: the sha256 (first 16 hex digits) of every bulk transfer's arguments —
+#: per-target bytes and per-engine/-OST/-OSD ops, keyed by name — and
+#: the exact write/read bandwidths, as recorded when every rank still
+#: built its key sweep in aggregate mode
+_FDB_AGGREGATE_RECORD = {
+    "DAOS": ("d7b82b642d122b90", 3138851586.049399, 3348451533.0484085),
+    "LUSTRE": ("db0d39da8d7b137e", 7483969784.435085, 4798961840.409443),
+    "RADOS": ("ae3efcdb7d02b1a4", 1281009576.6678402, 2327634526.5378003),
+}
+
+
+def _by_name(value):
+    if isinstance(value, dict):
+        return sorted((k.name, v) for k, v in value.items())
+    return value
+
+
+@pytest.mark.parametrize("backend", sorted(_FDB_BACKEND_ENVS))
+def test_fdb_hammer_aggregate_builds_no_keys(backend, monkeypatch):
+    """Aggregate batch flows are sized from counts: with the key sweep
+    unavailable, every backend still charges the same bytes and ops to
+    the same targets and measures the same bandwidths."""
+    import repro.fdb.schema
+    import repro.workloads.fdb_hammer
+
+    def no_keys(*args, **kwargs):
+        raise AssertionError("aggregate fdb-hammer built a key sweep")
+
+    monkeypatch.setattr(repro.fdb.schema, "key_sequence", no_keys)
+    monkeypatch.setattr(repro.workloads.fdb_hammer, "key_sequence", no_keys)
+    env_cls, client_cls = _FDB_BACKEND_ENVS[backend]
+    transfers = []
+    bulk_transfer = client_cls.bulk_transfer
+
+    def spy(client, *args, **kwargs):
+        transfers.append([_by_name(a) for a in args]
+                         + [[k, _by_name(v)] for k, v in sorted(kwargs.items())])
+        return bulk_transfer(client, *args, **kwargs)
+
+    monkeypatch.setattr(client_cls, "bulk_transfer", spy)
+    env = env_cls(Cluster(n_servers=4, n_clients=2, seed=0))
+    rec = run_fdb_hammer(env, cfg(), backend)
+    digest = hashlib.sha256(json.dumps(transfers, sort_keys=True).encode()).hexdigest()[:16]
+    assert (digest, rec.bandwidth("write"), rec.bandwidth("read")) == _FDB_AGGREGATE_RECORD[backend]
+    if backend == "RADOS":
+        c = cfg()
+        sizes = env.ceph.pools["fdb"].object_sizes
+        assert len(sizes) == c.total_processes * c.ops_per_process
+        assert set(sizes.values()) == {c.op_size}
+
+
+@pytest.mark.parametrize("backend", sorted(_FDB_BACKEND_ENVS))
+def test_fdb_hammer_exact_archives_and_retrieves_every_key(backend, monkeypatch):
+    from repro.fdb import FDB
+    from repro.fdb.schema import key_sequence
+
+    archived, retrieved = [], []
+    archive, retrieve = FDB.archive, FDB.retrieve
+
+    def spy_archive(fdb, key, *args, **kwargs):
+        archived.append(key)
+        return archive(fdb, key, *args, **kwargs)
+
+    def spy_retrieve(fdb, key):
+        retrieved.append(key)
+        return retrieve(fdb, key)
+
+    monkeypatch.setattr(FDB, "archive", spy_archive)
+    monkeypatch.setattr(FDB, "retrieve", spy_retrieve)
+    env_cls, _ = _FDB_BACKEND_ENVS[backend]
+    c = cfg(mode="exact")
+    rec = run_fdb_hammer(env_cls(Cluster(n_servers=4, n_clients=2, seed=0)), c, backend)
+    every_key = [key for rank in range(c.total_processes)
+                 for key in key_sequence(c.ops_per_process, member=rank)]
+    assert sorted(map(str, archived)) == sorted(map(str, retrieved)) == sorted(map(str, every_key))
     assert rec.bandwidth("read") > 0
 
 

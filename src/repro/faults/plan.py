@@ -29,6 +29,7 @@ executors and cache temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -45,9 +46,9 @@ PARTITION_FACTOR = 1e-6
 
 
 def _fmt_num(x: float) -> str:
-    """Canonical number formatting: no trailing zeros, no sci notation
-    surprises for the magnitudes plans use."""
-    s = repr(float(x))
+    """Canonical number formatting: no trailing zeros, and no ``+`` in
+    an exponent (``1e+16`` would read back as phase ``1e``)."""
+    s = repr(float(x)).replace("e+", "e")
     return s[:-2] if s.endswith(".0") else s
 
 
@@ -77,6 +78,10 @@ class FaultEvent:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r} (expected one of {_KINDS})"
             )
+        for name in ("at", "recover", "share", "factor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{self.kind} fault {name} must be finite, got {value}")
         if self.at < 0:
             raise ConfigError(f"fault time must be >= 0, got {self.at}")
         if not self.arg:

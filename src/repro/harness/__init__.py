@@ -11,7 +11,8 @@
   execute → assemble;
 - :mod:`repro.harness.resilience` — :class:`ResilientParallelExecutor`
   fans points over worker processes (bit-identical results to the
-  serial executor) and survives crashes, hangs and interrupts;
+  serial executor), survives worker crashes and interrupts, and fails
+  once, like the serial executor, when a point raises or hangs;
 - :mod:`repro.harness.cache` — content-addressed on-disk
   :class:`ResultCache` with model/schema-version invalidation;
 - :mod:`repro.harness.figures` — one planner per paper figure/table

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -130,7 +131,7 @@ class ResultCache:
         raw = dict(doc["spec"])
         raw["extra"] = tuple((str(k), v) for k, v in raw["extra"])
         spec = PointSpec(**raw)
-        return PointResult(
+        result = PointResult(
             spec=spec,
             write_bw=(doc["write_bw"][0], doc["write_bw"][1]),
             read_bw=(doc["read_bw"][0], doc["read_bw"][1]),
@@ -145,6 +146,20 @@ class ResultCache:
             ),
             lost_ops=(doc["lost_ops"][0], doc["lost_ops"][1]),
         )
+        numbers = [
+            *result.write_bw, *result.read_bw, *result.write_iops,
+            *result.read_iops, *result.lost_ops,
+        ]
+        for window in result.write_windows + result.read_windows:
+            numbers.extend(window)
+        for value in numbers:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"cache entry holds {value!r} where a number belongs")
+        return result
 
     # -- lookup/store --------------------------------------------------------
     def get(
@@ -152,7 +167,8 @@ class ResultCache:
     ) -> Optional[PointResult]:
         """The cached result, or ``None`` (counted as hit / miss /
         invalidation; invalidated and corrupt entries are deleted)."""
-        path = self.path_for(point_key(spec, reps, base_seed))
+        key = point_key(spec, reps, base_seed)
+        path = self.path_for(key)
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -181,9 +197,13 @@ class ResultCache:
             return None
         try:
             result = self._decode(doc)
+            # an entry for another point (copied or hand-edited) is not
+            # this point's result, however well-formed it is
+            if doc.get("key") != key or result.spec != spec or result.reps != reps:
+                raise ValueError("cache entry belongs to another point")
         except (KeyError, TypeError, ValueError, IndexError, ConfigError):
-            # parses as JSON but the payload is mangled (half-written or
-            # hand-edited): corrupt, not merely version-stale
+            # parses as JSON but the payload is mangled (half-written,
+            # hand-edited or misplaced): corrupt, not merely version-stale
             self.stats.invalidated += 1
             self.stats.corrupt_discarded += 1
             self.stats.misses += 1

@@ -39,15 +39,14 @@ Modelled numbers are bit-identical whatever the jobs count or cache
 temperature — see docs/EXECUTION.md.  ``--series-json`` dumps every
 series at full float precision, which is how CI asserts that identity.
 
-Parallel execution is resilient: every completed point is checkpointed
-into the cache immediately, a worker crash respawns the pool and
-resubmits in-flight points, ``--point-timeout``/``--max-retries`` bound
-hung points, repeat offenders land in a quarantine file, and a first
-Ctrl-C drains in-flight work and exits 130 (a second hard-stops);
-re-running the same command serves the finished points from
-``--cache-dir``.  ``--allow-partial`` assembles figures with explicit NaN
-holes when points are quarantined.  See docs/EXECUTION.md ("Resilient
-execution").
+A point fails once, whatever ``--jobs``: a point that raises stops the
+build with its own exception, and one that overruns ``--point-timeout``
+or keeps killing its worker stops it with ``PointFailed`` (exit 2).
+Every completed point is checkpointed into the cache immediately, a
+worker crash respawns the pool and resubmits the points it took down,
+and a first Ctrl-C drains in-flight work and exits 130 (a second
+hard-stops); re-running the same command serves the finished points
+from ``--cache-dir``.  See docs/EXECUTION.md ("Resilient execution").
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from repro.harness.report import render_figure, render_markdown
 OUTPUT_FLAGS = (
     "--markdown", "--trace", "--metrics-json", "--timeline",
     "--profile-json", "--profile-flame", "--ledger-json", "--series-json",
-    "--quarantine",
 )
 
 
@@ -170,23 +168,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="host wall-clock deadline per point; an overdue point's "
-             "worker is terminated and the point retried on a fresh one",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="extra attempts for a point whose worker crashed, timed out "
-             "or raised, before it is quarantined (default: 2)",
-    )
-    parser.add_argument(
-        "--allow-partial", action="store_true",
-        help="assemble figures with explicit NaN holes for quarantined "
-             "or interrupted points instead of failing",
-    )
-    parser.add_argument(
-        "--quarantine", metavar="PATH",
-        help="structured quarantine file for points that exhausted their "
-             "retries (default: <cache-dir>/quarantine.json)",
+        help="host wall-clock deadline per point; an overdue point stops "
+             "the build and its worker is terminated",
     )
     parser.add_argument(
         "--series-json", metavar="PATH",
@@ -208,8 +191,6 @@ def main(argv=None) -> int:
         parser.error(
             f"--point-timeout must be a finite number > 0, got {args.point_timeout}"
         )
-    if args.max_retries is not None and args.max_retries < 0:
-        parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
     for flag in OUTPUT_FLAGS:
         path = getattr(args, flag[2:].replace("-", "_"))
         if path and not Path(path).parent.is_dir():
@@ -248,25 +229,15 @@ def main(argv=None) -> int:
     )
     from repro.harness.resilience import (
         ExecutionInterrupted,
+        PointFailed,
         ResilientParallelExecutor,
     )
 
-    # parallel runs are resilient by default (crash containment,
-    # checkpointing); timeout/retry flags opt a serial invocation into
-    # the process-pool executor too, since an in-process point cannot
-    # be deadlined
-    resilient = (
-        args.jobs > 1
-        or args.point_timeout is not None
-        or args.max_retries is not None
-    )
+    # --point-timeout opts a serial invocation into the process-pool
+    # executor too, since an in-process point cannot be deadlined
     executor = (
-        ResilientParallelExecutor(
-            jobs=args.jobs,
-            point_timeout=args.point_timeout,
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-        )
-        if resilient
+        ResilientParallelExecutor(jobs=args.jobs, point_timeout=args.point_timeout)
+        if args.jobs > 1 or args.point_timeout is not None
         else SerialExecutor()
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
@@ -289,12 +260,13 @@ def main(argv=None) -> int:
     try:
         with obs_mod.activated(template):
             figures, exec_report = execute_plans(
-                plans, executor=executor, cache=cache,
-                allow_partial=args.allow_partial,
-                quarantine_path=Path(args.quarantine) if args.quarantine else None,
+                plans, executor=executor, cache=cache
             )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PointFailed as exc:
+        print(f"error: PointFailed: {exc}", file=sys.stderr)
         return 2
     except ExecutionInterrupted as exc:
         print(f"\ninterrupted: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -45,9 +44,8 @@ from typing import (
 )
 
 import repro.obs as obs_mod
-from repro.errors import ConfigError
-from repro.harness.cache import ResultCache, point_key
-from repro.harness.experiment import PointResult, PointSpec, run_point, spec_token
+from repro.harness.cache import ResultCache
+from repro.harness.experiment import PointResult, PointSpec, run_point
 from repro.harness.plan import PlanBatch, RunPlan, dedupe_plans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (figures imports us)
@@ -107,12 +105,13 @@ class Executor(Protocol):
         self,
         tasks: Sequence[PointTask],
         on_result: Optional[ResultCallback] = None,
-    ) -> List[Optional[PointResult]]:
+    ) -> List[PointResult]:
         """Execute every task; ``result[i]`` corresponds to ``tasks[i]``.
 
         ``on_result`` is invoked once per completed task, the moment the
-        result exists — the checkpointing hook.  A slot may be ``None``
-        only for resilient executors (quarantined/interrupted points).
+        result exists — the checkpointing hook.  A task that raises
+        stops the batch with its own exception, after ``on_result`` has
+        seen every task that completed.
         """
         ...
 
@@ -126,8 +125,8 @@ class SerialExecutor:
         self,
         tasks: Sequence[PointTask],
         on_result: Optional[ResultCallback] = None,
-    ) -> List[Optional[PointResult]]:
-        results: List[Optional[PointResult]] = []
+    ) -> List[PointResult]:
+        results: List[PointResult] = []
         for t in tasks:
             result = _run_task_observed(t)
             if on_result is not None:
@@ -168,10 +167,9 @@ class ExecutionReport:
     unique_points: int = 0
     executed_points: int = 0
     wall_seconds: float = 0.0
-    #: resilience accounting (all zero for plain executors / clean runs)
+    #: points resubmitted after a worker crash (zero for the serial
+    #: executor and for clean runs)
     retried: int = 0
-    timed_out: int = 0
-    quarantined: int = 0
 
     @property
     def deduped_points(self) -> int:
@@ -184,11 +182,8 @@ class ExecutionReport:
             f"{self.executed_points} executed with jobs={self.jobs} "
             f"in {self.wall_seconds:.1f}s",
         ]
-        if self.retried or self.timed_out or self.quarantined:
-            parts.append(
-                f"resilience: retried={self.retried} timed-out={self.timed_out} "
-                f"quarantined={self.quarantined}"
-            )
+        if self.retried:
+            parts.append(f"resilience: retried={self.retried}")
         return "; ".join(parts)
 
 
@@ -197,9 +192,6 @@ def execute_plans(
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     base_seed: int = 0,
-    *,
-    allow_partial: bool = False,
-    quarantine_path: Optional[Path] = None,
 ) -> Tuple[List["FigureResult"], ExecutionReport]:
     """Satisfy several plans at once and assemble their figures.
 
@@ -220,12 +212,8 @@ def execute_plans(
     Every fresh result is ``cache.put`` per-completion (through the
     executor's ``on_result`` hook), so a run that dies mid-batch keeps
     everything it finished, and re-running it serves those points from
-    the cache.  The :class:`~repro.harness.resilience.Quarantine` lives
-    in ``quarantine_path``, else in ``<cache root>/quarantine.json``
-    (with neither there is none): points already in it are skipped and
-    reported, and points that exhaust their retries are added to it.
-    ``allow_partial`` assembles figures with explicitly-NaN holes for
-    missing points instead of raising.
+    the cache.  A point that fails stops the build with the executor's
+    error; no figure is assembled.
     """
     executor = executor if executor is not None else SerialExecutor()
     batch: PlanBatch = dedupe_plans(plans)
@@ -239,22 +227,9 @@ def execute_plans(
         planned_points=batch.planned_points,
         unique_points=batch.unique_points,
     )
-    if quarantine_path is None and cache is not None:
-        quarantine_path = cache.root / "quarantine.json"
-    quarantine = None
-    if quarantine_path is not None:
-        # lazy import: resilience builds on this module, never the reverse
-        from repro.harness.resilience import Quarantine
-
-        quarantine = Quarantine(quarantine_path)
     pool: Dict[Tuple[PointSpec, int], PointResult] = {}
     misses: List[PointTask] = []
-    quarantined_tokens: List[str] = []
     for spec, reps in batch.tasks:
-        if quarantine is not None and quarantine.has(point_key(spec, reps, base_seed)):
-            report.quarantined += 1
-            quarantined_tokens.append(spec_token(spec))
-            continue
         cached = (
             cache.get(spec, reps, base_seed)
             if cache is not None and instruments is None
@@ -275,67 +250,27 @@ def execute_plans(
         fresh = executor.run_tasks(misses, on_result=checkpoint)
     finally:
         report.wall_seconds = time.perf_counter() - t0
-    report.executed_points = sum(1 for result in fresh if result is not None)
+    report.executed_points = len(fresh)
     stats = getattr(executor, "last_stats", None)
     if stats is not None:
-        report.retried += stats.retried
-        report.timed_out += stats.timed_out
-        report.quarantined += stats.quarantined
-    for failure in getattr(executor, "last_failures", None) or []:
-        token = spec_token(failure.task.spec)
-        quarantined_tokens.append(token)
-        if quarantine is not None:
-            quarantine.add(
-                key=point_key(failure.task.spec, failure.task.reps, base_seed),
-                token=token,
-                reps=failure.task.reps,
-                base_seed=base_seed,
-                attempts=failure.attempts,
-                reason=failure.reason,
-                error=failure.error,
-                traceback=failure.traceback,
-            )
+        report.retried = stats.retried
     figures: List["FigureResult"] = []
     for plan in batch.plans:
-        missing = [spec for spec in plan.specs if (spec, plan.reps) not in pool]
         # the figure's telemetry: its points' records in plan-spec order
         obs = None
         if ambient is not None and instruments is not None:
             obs = ambient if len(batch.plans) == 1 else instruments.observability()
-        for spec in plan.specs:
-            result = pool.get((spec, plan.reps))
-            if obs is not None and result is not None and result.record is not None:
-                obs.absorb(result.record)
-        if missing and allow_partial:
-            from repro.harness.resilience import hole_result
-
-            results = {
-                spec: pool.get((spec, plan.reps)) or hole_result(spec, plan.reps)
-                for spec in plan.specs
-            }
-            figure = plan.assemble(results)
-            hole_note = (
-                f"PARTIAL: {len(missing)} of {len(plan.specs)} points missing "
-                f"(NaN holes): " + "; ".join(spec_token(s) for s in missing)
-            )
-            notes = f"{figure.notes}\n{hole_note}" if figure.notes else hole_note
-            figures.append(replace(figure, notes=notes, obs=obs))
-        elif missing:
-            names = ", ".join(spec_token(s) for s in missing[:3])
-            more = f" (+{len(missing) - 3} more)" if len(missing) > 3 else ""
-            cause = (
-                " — quarantined after repeated failures"
-                if quarantined_tokens
-                else ""
-            )
-            raise ConfigError(
-                f"plan {plan.fig_id!r}: {len(missing)} of {len(plan.specs)} "
-                f"point results missing{cause}: {names}{more}; re-run with "
-                f"--allow-partial to assemble the figure with explicit holes"
-            )
-        else:
-            results = {spec: pool[(spec, plan.reps)] for spec in plan.specs}
-            figures.append(replace(plan.assemble(results), obs=obs))
+        # a point an executor failed to return is a named error in assemble
+        results = {
+            spec: pool[(spec, plan.reps)]
+            for spec in plan.specs
+            if (spec, plan.reps) in pool
+        }
+        if obs is not None:
+            for result in results.values():
+                if result.record is not None:
+                    obs.absorb(result.record)
+        figures.append(replace(plan.assemble(results), obs=obs))
     return figures, report
 
 

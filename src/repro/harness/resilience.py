@@ -1,65 +1,62 @@
-"""Resilient campaign execution: ride through worker crashes, hangs
-and interrupts without losing finished work.
+"""Resilient campaign execution: fan points over worker processes,
+checkpoint each one the moment it finishes, and fail a batch once.
 
-The modelled systems already survive component failure (PR 5 gave the
-simulated clients retry/failover); this module gives the *harness* the
-same property.  Four mechanisms, all host-side, all wrapped *around*
-the simulations so modelled numbers stay a pure function of
-``(spec, reps, base_seed)``:
+A point is a pure function of ``(spec, reps, base_seed)``, so a point
+that raises or hangs does the same again on every attempt.  The
+parallel executor therefore fails like the serial one: a point runs
+once, and its failure stops the batch.  Only a crashed worker is not a
+property of the point, and only it is resubmitted.  All of this is
+host-side, wrapped *around* the simulations, so modelled numbers stay
+a pure function of ``(spec, reps, base_seed)``:
 
 - **Incremental checkpointing** — :class:`ResilientParallelExecutor`
   reports every completed point through ``on_result`` the moment its
   future resolves, so :func:`~repro.harness.executor.execute_plans`
-  can ``cache.put`` it immediately.  The result cache is the one
-  checkpoint: re-running an interrupted command serves every finished
-  point from the cache with zero recomputation.
-- **Per-point timeout + bounded retry** — each task gets a host
-  wall-clock deadline (``--point-timeout``).  An overdue task's worker
-  is terminated, innocent in-flight tasks are resubmitted without
-  penalty, and the overdue task retries on a fresh worker with
-  exponential backoff from :data:`RETRY_BACKOFF`, at most
-  ``--max-retries`` extra attempts.
+  can ``cache.put`` it immediately.  The result cache is the only
+  persistent harness state: re-running a failed or interrupted command
+  serves every finished point from the cache with zero recomputation.
+- **Fail once** — a point that raises stops new submissions; the
+  points already running finish (and are checkpointed), then the
+  point's own exception is re-raised, the type and message
+  :class:`~repro.harness.executor.SerialExecutor` raises.  A point that
+  overruns its host wall-clock deadline (``--point-timeout``) stops the
+  batch the same way with :class:`PointFailed`, and its worker is
+  killed once the others have drained.
 - **Crash containment** — a ``BrokenProcessPool`` (worker SIGKILLed,
-  OOM-killed, or segfaulted) respawns the pool and resubmits the
-  in-flight tasks instead of aborting the batch.
-- **Quarantine & graceful interrupt** — a task that exhausts its
-  attempts lands in a structured :class:`Quarantine` file (spec token,
-  attempts, exception, traceback) and the batch carries on.  The first
-  SIGINT stops submitting and drains in-flight work (everything drained
-  is checkpointed); the second hard-stops.
+  OOM-killed, or segfaulted) respawns the pool and resubmits the points
+  it took down.  A point whose worker dies under it while it runs alone
+  :data:`CRASH_ATTEMPTS` times stops the batch with :class:`PointFailed`.
+- **Graceful interrupt** — the first SIGINT stops submitting and
+  drains in-flight work (everything drained is checkpointed); the
+  second hard-stops.
 
 Workers run points through the one worker entry the serial executor
-uses too, so each result carries its own telemetry record; a retried
-point returns exactly one result — the successful attempt's — and
+uses too, so each result carries its own telemetry record, and
 :func:`~repro.harness.executor.execute_plans` merges records in plan
 order, so ``--jobs N`` telemetry equals the serial run's even across
-retries.
+crash resubmits.
 
 Deterministic chaos (for CI and tests) is injected via the
 ``REPRO_HARNESS_CHAOS`` environment variable; see :func:`chaos_plan`.
 
 Wall-clock note: this module intentionally reads the host clock
-(deadlines, backoff sleeps) — it is on the simlint SL001 allowlist
+(deadlines, chaos sleeps) — it is on the simlint SL001 allowlist
 because none of it can reach modelled results.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
 import os
 import signal
 import threading
 import time
-import traceback as traceback_mod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from pathlib import Path
 from types import FrameType
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, ReproError
 from repro.harness.executor import PointTask, _run_task_observed
@@ -68,13 +65,11 @@ from repro.harness.experiment import PointResult, PointSpec, spec_token
 __all__ = [
     "ResilientParallelExecutor",
     "ExecutionInterrupted",
+    "PointFailed",
     "RunStats",
-    "TaskFailure",
-    "Quarantine",
-    "hole_result",
     "chaos_plan",
     "CHAOS_ENV",
-    "RETRY_BACKOFF",
+    "CRASH_ATTEMPTS",
 ]
 
 #: environment variable carrying deterministic fault-injection directives
@@ -82,8 +77,9 @@ __all__ = [
 #: plans — docs/FAULTS.md); see :func:`chaos_plan` for the grammar
 CHAOS_ENV = "REPRO_HARNESS_CHAOS"
 
-#: host seconds before a point's first retry, doubled per further attempt
-RETRY_BACKOFF = 0.25
+#: times a point's worker may die under it, while it runs alone, before
+#: the point stops the batch
+CRASH_ATTEMPTS = 3
 
 
 class ExecutionInterrupted(ReproError):
@@ -101,6 +97,19 @@ class ExecutionInterrupted(ReproError):
             f"interrupted after {completed} of {total} fresh points "
             f"(completed work is checkpointed)"
         )
+
+
+class PointFailed(ReproError):
+    """A point stopped the batch without raising an exception of its
+    own: it overran its host deadline, or its worker kept dying.
+
+    The points that finished before the batch stopped are checkpointed
+    through ``on_result``.
+    """
+
+    def __init__(self, spec: PointSpec, reason: str) -> None:
+        self.token = spec_token(spec)
+        super().__init__(f"point {self.token} {reason}")
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,10 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
 
     - ``kill-worker:SUBSTR[:N]`` — a worker about to run a task whose
       spec token contains ``SUBSTR`` SIGKILLs itself, on the first
-      ``N`` attempts (default 1: the retry succeeds).
+      ``N`` attempts (default 1: the resubmit succeeds).
     - ``sleep:SUBSTR:SECONDS`` — the worker sleeps (host time) before
-      running a matching task, on every attempt — the deterministic
-      stand-in for a hung simulation.
+      running a matching task — the deterministic stand-in for a hung
+      simulation.
     - ``interrupt-after:N`` — the parent behaves as if it received a
       SIGINT after N fresh completions (stop submitting, drain,
       checkpoint, raise :class:`ExecutionInterrupted`).
@@ -192,108 +201,12 @@ def _resilient_task(task: PointTask, attempt: int) -> PointResult:
 
 @dataclass
 class RunStats:
-    """Resilience accounting for one ``run_tasks`` call."""
+    """Crash accounting for one ``run_tasks`` call."""
 
+    #: points resubmitted because their worker died
     retried: int = 0
-    timed_out: int = 0
-    quarantined: int = 0
+    #: pool crashes (BrokenProcessPool)
     crashes: int = 0
-    interrupted: bool = False
-
-
-@dataclass(frozen=True)
-class TaskFailure:
-    """A task that exhausted its attempt budget (executor-side record;
-    :func:`~repro.harness.executor.execute_plans` persists it into the
-    :class:`Quarantine` file)."""
-
-    index: int
-    task: PointTask
-    attempts: int
-    reason: str  # "error" | "timeout" | "worker-crash"
-    error: str
-    traceback: str
-
-
-class Quarantine:
-    """Structured record of tasks that exhausted their retry budget.
-
-    JSON document keyed by the point's cache key; each entry round-trips
-    the spec token plus attempts/exception/traceback, so a human (or a
-    later tool) can re-run exactly the failing point.
-    """
-
-    SCHEMA = 1
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self.entries: Dict[str, Dict[str, Any]] = {}
-        if self.path.exists():
-            try:
-                with open(self.path) as fh:
-                    doc = json.load(fh)
-                entries = doc.get("entries", {})  # AttributeError: not an object
-                if not isinstance(entries, dict):
-                    raise ValueError(f"quarantine entries are a {type(entries).__name__}")
-                if doc.get("schema") == self.SCHEMA:
-                    self.entries = dict(entries)
-            except (OSError, ValueError, AttributeError):
-                self.entries = {}  # corrupt quarantine: start fresh
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def add(
-        self,
-        key: str,
-        token: str,
-        reps: int,
-        base_seed: int,
-        attempts: int,
-        reason: str,
-        error: str,
-        traceback: str = "",
-    ) -> None:
-        self.entries[key] = {
-            "spec_token": token,
-            "reps": reps,
-            "base_seed": base_seed,
-            "attempts": attempts,
-            "reason": reason,
-            "error": error,
-            "traceback": traceback,
-        }
-        self.save()
-
-    def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": self.SCHEMA, "entries": self.entries}
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.path)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def hole_result(spec: PointSpec, reps: int) -> PointResult:
-    """An explicitly-NaN placeholder for a missing point.
-
-    Used by ``--allow-partial`` assembly: the figure keeps its shape,
-    the hole is unmistakable in every series, and the figure's notes
-    name the missing specs.
-    """
-    nan = float("nan")
-    return PointResult(
-        spec=spec,
-        write_bw=(nan, nan),
-        read_bw=(nan, nan),
-        write_iops=(nan, nan),
-        read_iops=(nan, nan),
-        reps=reps,
-    )
 
 
 @dataclass
@@ -302,30 +215,22 @@ class _Pending:
 
     index: int
     deadline: Optional[float]
+    overdue: bool = False
 
 
 class ResilientParallelExecutor:
-    """Fan tasks out over a process pool, surviving worker crashes,
-    hung points and interrupts.
+    """Fan tasks out over a process pool, surviving worker crashes and
+    interrupts, and failing once like :class:`SerialExecutor`.
 
     Satisfies the executor protocol (``results[i]`` corresponds to
-    ``tasks[i]``); a slot is ``None`` only when that task exhausted its
-    retry budget (details in :attr:`last_failures`) or the run was
-    interrupted before it could execute.  Modelled results are
-    bit-identical to :class:`SerialExecutor`'s — retries re-run the same
+    ``tasks[i]``).  Modelled results are bit-identical to
+    :class:`SerialExecutor`'s — a resubmitted point re-runs the same
     pure function with the same content-hash seed.
     """
 
-    def __init__(
-        self,
-        jobs: int = 2,
-        point_timeout: Optional[float] = None,
-        max_retries: int = 2,
-    ) -> None:
+    def __init__(self, jobs: int = 2, point_timeout: Optional[float] = None) -> None:
         if jobs < 1:
             raise ConfigError(f"ResilientParallelExecutor needs jobs >= 1, got {jobs}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         if point_timeout is not None and not (
             math.isfinite(point_timeout) and point_timeout > 0
         ):
@@ -334,14 +239,12 @@ class ResilientParallelExecutor:
             )
         self.jobs = jobs
         self.point_timeout = point_timeout
-        self.max_retries = max_retries
         self.last_stats = RunStats()
-        self.last_failures: List[TaskFailure] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResilientParallelExecutor(jobs={self.jobs}, "
-            f"point_timeout={self.point_timeout}, max_retries={self.max_retries})"
+            f"point_timeout={self.point_timeout})"
         )
 
     # -- main loop -----------------------------------------------------------
@@ -349,36 +252,34 @@ class ResilientParallelExecutor:
         self,
         tasks: Sequence[PointTask],
         on_result: Optional[Callable[[PointTask, PointResult], None]] = None,
-    ) -> List[Optional[PointResult]]:
+    ) -> List[PointResult]:
         self.last_stats = stats = RunStats()
-        self.last_failures = failures = []
         if not tasks:
             return []
         n = len(tasks)
-        results: List[Optional[PointResult]] = [None] * n
-        settled = [False] * n  # success or quarantine: will never produce more work
+        results: Dict[int, PointResult] = {}
         attempts = [0] * n  # tries started
+        crashes = [0] * n  # times a task's worker died under it alone
         queue: Deque[int] = deque(range(n))
-        retry_heap: List[Tuple[float, int]] = []  # (host time ready, index)
         running: Dict["Future[PointResult]", _Pending] = {}
         pool: Optional[ProcessPoolExecutor] = None
-        completed = 0
         chaos = chaos_plan()
         sigints = 0
+        # the first point failure; once set, nothing more is submitted
+        # and it is raised when the in-flight points have drained
+        failure: Optional[BaseException] = None
+        interrupted = False
+        hard_stop = False
         # culprit isolation: a pool crash kills every in-flight attempt,
-        # so a task that crashes its worker on every try would keep
-        # taking innocent co-scheduled tasks down with it (and eat their
-        # retry budgets).  After a multi-victim crash the next
-        # `solo_pending` attempts run one at a time, so the culprit
-        # crashes alone (and is charged alone) while innocents complete.
+        # so the culprit cannot be told from its collateral.  After a
+        # multi-victim crash the victims' next `solo_pending` attempts
+        # run one at a time, so the culprit crashes alone (and is
+        # charged alone) while innocents complete.
         solo_pending = 0
 
         def on_sigint(signum: int, frame: Optional[FrameType]) -> None:
             nonlocal sigints
             sigints += 1
-
-        def max_attempts() -> int:
-            return 1 + self.max_retries
 
         def ensure_pool() -> ProcessPoolExecutor:
             nonlocal pool
@@ -408,154 +309,106 @@ class ResilientParallelExecutor:
             )
             running[fut] = _Pending(index=index, deadline=deadline)
 
-        def budget_fail(index: int, reason: str, error: str, tb: str) -> None:
-            nonlocal solo_pending
-            if attempts[index] >= max_attempts():
-                solo_pending = max(0, solo_pending - 1)
-                stats.quarantined += 1
-                settled[index] = True
-                failures.append(
-                    TaskFailure(
-                        index=index,
-                        task=tasks[index],
-                        attempts=attempts[index],
-                        reason=reason,
-                        error=error,
-                        traceback=tb,
-                    )
-                )
-            else:
-                stats.retried += 1
-                ready = time.monotonic() + RETRY_BACKOFF * (
-                    2 ** (attempts[index] - 1)
-                )
-                heapq.heappush(retry_heap, (ready, index))
-
         in_main_thread = threading.current_thread() is threading.main_thread()
         prev_handler: Any = None
         if in_main_thread:
             prev_handler = signal.signal(signal.SIGINT, on_sigint)
-        soft_stop = False
-        hard_stop = False
         try:
-            while queue or running or retry_heap:
+            while True:
                 if sigints >= 2:
                     hard_stop = True
                     break
                 if sigints >= 1:
-                    soft_stop = True
-                if soft_stop:
-                    stats.interrupted = True
-                    queue.clear()
-                    retry_heap.clear()
-                    if not running:
-                        break
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index = heapq.heappop(retry_heap)
-                    queue.append(index)
+                    interrupted = True
                 # submission window = jobs: a submitted task starts (nearly)
                 # immediately, so per-point deadlines measure actual runtime,
-                # a SIGINT leaves queued work unsubmitted, and a pool crash
+                # a stop leaves queued work unsubmitted, and a pool crash
                 # dooms at most `jobs` attempts
-                window = 1 if solo_pending > 0 else self.jobs
-                while queue and not soft_stop and len(running) < window:
-                    submit(queue.popleft())
-                if not running:
-                    if retry_heap:
-                        time.sleep(min(0.05, max(0.0, retry_heap[0][0] - now)) or 0.005)
-                    continue
+                if failure is None and not interrupted:
+                    window = 1 if solo_pending > 0 else self.jobs
+                    while queue and len(running) < window:
+                        submit(queue.popleft())
+                # an overdue attempt is abandoned, not waited for: its
+                # worker is killed with the pool once the rest drain
+                live = {fut: p for fut, p in running.items() if not p.overdue}
+                if not live:
+                    break
                 wait_timeout = 0.1
-                deadlines = [p.deadline for p in running.values() if p.deadline is not None]
+                deadlines = [p.deadline for p in live.values() if p.deadline is not None]
                 if deadlines:
-                    wait_timeout = min(wait_timeout, max(0.0, min(deadlines) - now))
-                done, _ = wait(
-                    set(running), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                )
+                    wait_timeout = min(
+                        wait_timeout, max(0.0, min(deadlines) - time.monotonic())
+                    )
+                done, _ = wait(set(live), timeout=wait_timeout, return_when=FIRST_COMPLETED)
                 crash_victims: List[int] = []
                 for fut in sorted(done, key=lambda f: running[f].index):
                     index = running.pop(fut).index
                     try:
                         result = fut.result()
                     except BrokenProcessPool:
-                        stats.crashes += 1
                         crash_victims.append(index)
                         continue
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # simlint: disable=SL006 -- any worker exception becomes a retry/quarantine entry instead of aborting the batch
-                        error = f"{type(exc).__name__}: {exc}"
-                        tb = "".join(
-                            traceback_mod.format_exception(
-                                type(exc), exc, exc.__traceback__
-                            )
-                        )
-                        budget_fail(index, "error", error, tb)
+                    except Exception as exc:  # simlint: disable=SL006 -- a point's own exception stops the batch and is re-raised after the in-flight points drain
+                        if failure is None:
+                            failure = exc
                         continue
                     results[index] = result
-                    settled[index] = True
                     solo_pending = max(0, solo_pending - 1)
-                    completed += 1
                     if on_result is not None:
                         on_result(tasks[index], result)
                     if (
                         chaos.interrupt_after is not None
-                        and completed >= chaos.interrupt_after
+                        and len(results) >= chaos.interrupt_after
                     ):
-                        soft_stop = True
+                        interrupted = True
                 if crash_victims:
                     # the pool is broken: every in-flight attempt died with it
-                    crash_victims.extend(p.index for p in running.values())
+                    stats.crashes += 1
+                    victims = sorted(
+                        set(crash_victims) | {p.index for p in running.values()}
+                    )
                     teardown_pool(kill=False)
-                    victims = sorted(set(crash_victims))
-                    for index in victims:
-                        budget_fail(
-                            index,
-                            "worker-crash",
-                            "worker process died (BrokenProcessPool); "
-                            "task resubmitted to a fresh pool",
-                            "",
-                        )
+                    if failure is not None or interrupted:
+                        continue  # stopping: nothing is resubmitted
                     if len(victims) > 1:
                         # can't tell the culprit from its collateral:
-                        # isolate the survivors' next attempts
-                        solo_pending = sum(
-                            1 for index in victims if not settled[index]
-                        )
-                    continue
-                if self.point_timeout is not None and running:
-                    now = time.monotonic()
-                    overdue = sorted(
-                        p.index
-                        for p in running.values()
-                        if p.deadline is not None and p.deadline <= now
-                    )
-                    if overdue:
-                        innocents = sorted(
-                            p.index for p in running.values() if p.index not in overdue
-                        )
-                        # a running future cannot be cancelled: terminate the
-                        # workers, then resubmit — overdue tasks on their next
-                        # attempt, innocents without touching their budget
-                        teardown_pool(kill=True)
-                        for index in innocents:
-                            attempts[index] -= 1
-                            queue.append(index)
-                        for index in overdue:
-                            stats.timed_out += 1
-                            budget_fail(
-                                index,
-                                "timeout",
-                                f"point exceeded --point-timeout="
-                                f"{self.point_timeout}s (attempt {attempts[index]})",
-                                "",
+                        # run each victim alone, before anything else
+                        queue.extendleft(reversed(victims))
+                        solo_pending = len(victims)
+                    else:
+                        # it crashed alone: it is the culprit
+                        (index,) = victims
+                        crashes[index] += 1
+                        solo_pending = max(0, solo_pending - 1)
+                        if crashes[index] >= CRASH_ATTEMPTS:
+                            failure = PointFailed(
+                                tasks[index].spec,
+                                f"lost its worker on {CRASH_ATTEMPTS} attempts "
+                                f"(BrokenProcessPool)",
                             )
+                            continue
+                        queue.append(index)  # queued innocents run first
+                    stats.retried += len(victims)
+                    continue
+                if self.point_timeout is not None:
+                    now = time.monotonic()
+                    for p in sorted(running.values(), key=lambda p: p.index):
+                        if p.deadline is not None and p.deadline <= now and not p.overdue:
+                            p.overdue = True
+                            if failure is None:
+                                failure = PointFailed(
+                                    tasks[p.index].spec,
+                                    f"overran --point-timeout={self.point_timeout}s",
+                                )
         finally:
             if in_main_thread:
                 signal.signal(signal.SIGINT, prev_handler)
-            teardown_pool(kill=hard_stop or stats.interrupted)
+            # anything still running is hung or abandoned: kill it
+            teardown_pool(kill=bool(running))
         if hard_stop:
             raise KeyboardInterrupt
-        if stats.interrupted:
-            raise ExecutionInterrupted(completed=completed, total=n)
-        return results
+        if failure is not None:
+            raise failure
+        if interrupted:
+            raise ExecutionInterrupted(completed=len(results), total=n)
+        return [results[i] for i in range(n)]

@@ -316,10 +316,27 @@ def test_cache_corruption_recovery(tmp_path):
         assert cache.get(DD, 1) is None, payload
         assert not path.exists()
 
-    assert cache.stats.corrupt_discarded == 7
-    assert cache.stats.invalidated == 7
-    assert cache.stats.misses == 7
-    assert "7 corrupt discarded" in cache.stats.summary()
+    # a well-formed entry at another point's path is not that point
+    cache.put(result)
+    other = cache.path_for(point_key(SMALL, 1))
+    other.parent.mkdir(parents=True, exist_ok=True)
+    other.write_text(path.read_text())
+    assert cache.get(SMALL, 1) is None
+    assert not other.exists()
+
+    # a bandwidth that is no number, and an entry for another reps count
+    for field, value in (("write_bw", ["fast", "slow"]), ("reps", 7)):
+        cache.put(result)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert cache.get(DD, 1) is None, field
+        assert not path.exists()
+
+    assert cache.stats.corrupt_discarded == 10
+    assert cache.stats.invalidated == 10
+    assert cache.stats.misses == 10
+    assert "10 corrupt discarded" in cache.stats.summary()
 
     # recomputing repopulates the slot and it reads back clean
     cache.put(result)

@@ -6,6 +6,8 @@ no data loss and byte-identical reads under any single-target failure.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.daos import DaosArray, Pool
 from repro.daos.objclass import ObjectClass
@@ -105,6 +107,54 @@ def test_empty_plan_is_no_faults():
 def test_plan_rejects(bad):
     with pytest.raises(ConfigError):
         parse_fault_plan(bad)
+
+
+@pytest.mark.parametrize("bad,value", [
+    ("target@nan:5", "nan"),
+    ("target@inf:5", "inf"),
+    ("target@read+nan:5", "nan"),
+    ("target@1:5,recover=nan", "nan"),
+    ("target@1:5,rebuild,share=inf", "inf"),
+    ("link@1:srv0.nic.tx,factor=nan", "nan"),
+])
+def test_plan_rejects_non_finite_numbers(bad, value):
+    # NaN compares false against every range check, so it must be
+    # rejected by name before it reaches a run
+    with pytest.raises(ConfigError, match=f"finite, got {value}"):
+        parse_fault_plan(bad)
+
+
+_NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=8)
+_SECONDS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _fault_events(draw):
+    """Any event the docs/FAULTS.md grammar admits."""
+    kind = draw(st.sampled_from(["target", "server", "ssd", "link", "gate"]))
+    if kind in ("target", "server"):
+        arg = str(draw(st.integers(0, 10**6)))
+    elif kind == "ssd":
+        arg = f"srv{draw(st.integers(0, 99))}.ssd{draw(st.integers(0, 99))}"
+    else:
+        arg = draw(_NAME)
+    rebuild = kind in ("target", "server") and draw(st.booleans())
+    return FaultEvent(
+        kind=kind,
+        at=draw(_SECONDS),
+        arg=arg,
+        phase=draw(st.none() | _NAME),
+        recover=draw(st.none() | _SECONDS.filter(lambda x: x > 0)),
+        rebuild=rebuild,
+        share=draw(st.floats(0.0, 1.0, exclude_min=True)) if rebuild else 0.25,
+        factor=draw(st.floats(0.0, 1.0)) if kind == "link" else 1.0,
+    )
+
+
+@given(st.lists(_fault_events(), max_size=4))
+def test_plan_spec_round_trips_for_any_plan(events):
+    plan = FaultPlan(tuple(events))
+    assert parse_fault_plan(plan.spec()) == plan
 
 
 # -- controller ----------------------------------------------------------------

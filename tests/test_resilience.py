@@ -1,24 +1,24 @@
 """Resilient campaign execution: checkpointing into the result cache,
-per-point timeouts, worker-crash containment, and quarantine.
+per-point timeouts, worker-crash containment, and failing once.
 
-The invariant under test everywhere: resilience machinery must never
-change modelled numbers.  A batch that loses workers to SIGKILL, gets
-interrupted and re-run, or routes points through retries must produce
-figures byte-identical to an undisturbed serial run — the only
-difference is host-side accounting (retried/timed_out/quarantined
-counts, cache hits and the quarantine file).
+The invariants under test: resilience machinery never changes modelled
+numbers — a batch that loses workers to SIGKILL, or gets interrupted
+and re-run, produces figures byte-identical to an undisturbed serial
+run — and a point that fails stops the batch after one attempt, the
+same way whichever executor runs it, with every finished point already
+in the cache.
 """
 
-import json
 import math
 import re
 import signal
+import time
 
 import pytest
 
 import repro.harness.executor as executor_mod
 from repro.errors import ConfigError
-from repro.harness.cache import ResultCache, point_key
+from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     SerialExecutor,
     execute_plan,
@@ -29,12 +29,12 @@ from repro.harness.figures import FigureResult, Series
 from repro.harness.plan import make_plan
 from repro.harness.resilience import (
     CHAOS_ENV,
+    CRASH_ATTEMPTS,
     ChaosPlan,
     ExecutionInterrupted,
-    Quarantine,
+    PointFailed,
     ResilientParallelExecutor,
     chaos_plan,
-    hole_result,
 )
 
 SMALL = PointSpec(
@@ -72,6 +72,24 @@ def series_data(fig):
         for panel, rows in sorted(fig.panels.items())
         for s in rows
     ]
+
+
+def logged_run_point(log, fail=None, hang=None):
+    """``run_point`` that appends each attempt's spec token to ``log`` (a
+    file: a forked worker's memory is not the parent's), raises for
+    ``fail`` and sleeps past any test deadline for ``hang``."""
+    real = executor_mod.run_point
+
+    def run(spec, reps=1, base_seed=0):
+        with open(log, "a") as fh:
+            fh.write(spec_token(spec) + "\n")
+        if spec == fail:
+            raise RuntimeError("simulated point failure")
+        if spec == hang:
+            time.sleep(60)
+        return real(spec, reps=reps, base_seed=base_seed)
+
+    return run
 
 
 @pytest.fixture
@@ -147,8 +165,6 @@ def test_resilient_matches_serial_bit_identical(serial_figure):
     )
     assert series_data(fig) == series_data(serial_figure)
     assert report.retried == 0
-    assert report.timed_out == 0
-    assert report.quarantined == 0
 
 
 # ------------------------------------------------- worker-crash containment
@@ -163,72 +179,54 @@ def test_sigkilled_worker_is_retried_and_identical(serial_figure, monkeypatch):
     assert series_data(fig) == series_data(serial_figure)
     assert report.retried >= 1
     assert ex.last_stats.crashes >= 1
-    assert report.quarantined == 0
 
 
-def test_repeated_crasher_is_quarantined_not_fatal(
-    serial_figure, tmp_path, monkeypatch
+def test_repeated_crasher_exhausts_crash_budget_and_stops_build(
+    tmp_path, monkeypatch
 ):
-    # a task that kills its worker on every attempt exhausts the budget
-    # and lands in quarantine; the rest of the batch still completes
+    # a task that kills its worker on every attempt is isolated, charged
+    # CRASH_ATTEMPTS crashes, and stops the build with a named error;
+    # the innocent points run first and are already checkpointed
     monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4:99")
     cache = ResultCache(tmp_path / "c")
-    qpath = tmp_path / "q.json"
-    ex = ResilientParallelExecutor(jobs=2, max_retries=1)
-    with pytest.raises(ConfigError, match="quarantined after repeated failures"):
-        execute_plans(
-            [tiny_plan()], executor=ex, cache=cache, quarantine_path=qpath,
-        )
-    # the two innocent points were checkpointed despite the failure
-    assert cache.get(SMALL, 2) is not None
-    assert cache.get(DD, 2) is not None
-    doc = json.loads(qpath.read_text())
-    (entry,) = doc["entries"].values()
-    assert entry["spec_token"] == spec_token(OTHER)
-    assert entry["reason"] == "worker-crash"
-    assert entry["attempts"] == 2  # 1 + max_retries
-
-    # --allow-partial assembles around the hole; the quarantined point
-    # is skipped (not re-attempted) and the note names it
-    monkeypatch.delenv(CHAOS_ENV)
-    figs, report = execute_plans(
-        [tiny_plan()], executor=SerialExecutor(),
-        cache=ResultCache(tmp_path / "c"),
-        allow_partial=True, quarantine_path=qpath,
-    )
-    assert report.quarantined == 1
-    assert "PARTIAL: 1 of 3" in figs[0].notes
-    assert spec_token(OTHER) in figs[0].notes
-    clean = {s.label: s for s in figs[0].panels["write"]}
-    assert math.isnan(clean[spec_token(OTHER)].means[0])
-    # the surviving points carry the exact serial numbers
-    good = {s.label: s for s in serial_figure.panels["write"]}
-    for tok in (spec_token(SMALL), spec_token(DD)):
-        assert clean[tok].means == good[tok].means
-
-
-# ------------------------------------------------- timeout -> quarantine
-
-
-def test_point_timeout_retries_then_quarantines(tmp_path, monkeypatch):
-    # one spec sleeps (host time) past the per-point deadline on every
-    # attempt: each try is timed out on a fresh pool, then quarantined
-    # into the cache's own quarantine file (no path given)
-    monkeypatch.setenv(CHAOS_ENV, "sleep:ppn=4:30")
-    cache = ResultCache(tmp_path / "c")
-    ex = ResilientParallelExecutor(jobs=2, point_timeout=0.5, max_retries=1)
-    with pytest.raises(ConfigError, match="re-run with --allow-partial"):
+    ex = ResilientParallelExecutor(jobs=2)
+    with pytest.raises(PointFailed, match=f"lost its worker on {CRASH_ATTEMPTS}") as exc:
         execute_plans([tiny_plan()], executor=ex, cache=cache)
-    assert ex.last_stats.timed_out >= 2
-    q = Quarantine(cache.root / "quarantine.json")
-    key = point_key(OTHER, 2)
-    assert q.has(key)
-    assert q.entries[key]["reason"] == "timeout"
-    assert q.entries[key]["spec_token"] == spec_token(OTHER)
-    assert q.entries[key]["attempts"] == 2
-    # the other points completed and were checkpointed
+    assert exc.value.token == spec_token(OTHER)
+    assert ex.last_stats.retried >= CRASH_ATTEMPTS - 1
     assert cache.get(SMALL, 2) is not None
     assert cache.get(DD, 2) is not None
+    assert cache.get(OTHER, 2) is None
+
+
+# ------------------------------------------------------------- timeout
+
+
+def test_point_timeout_fails_once_and_stops_build(tmp_path, monkeypatch):
+    # one spec hangs past the per-point deadline: it is timed out on its
+    # first attempt and stops the build; the others finish and are cached
+    log = tmp_path / "attempts.log"
+    monkeypatch.setattr(executor_mod, "run_point", logged_run_point(log, hang=OTHER))
+    cache = ResultCache(tmp_path / "c")
+    ex = ResilientParallelExecutor(jobs=2, point_timeout=10.0)
+    t0 = time.monotonic()
+    with pytest.raises(PointFailed, match="overran --point-timeout=10.0s") as exc:
+        execute_plans([tiny_plan()], executor=ex, cache=cache)
+    assert time.monotonic() - t0 < 50  # the hung worker was not waited for
+    assert exc.value.token == spec_token(OTHER)
+    assert log.read_text().splitlines().count(spec_token(OTHER)) == 1
+    assert cache.get(SMALL, 2) is not None
+    assert cache.get(DD, 2) is not None
+
+
+def test_cli_point_failure_exits_2_naming_the_point(tmp_path, monkeypatch, capsys):
+    from repro.harness.cli import main
+
+    monkeypatch.setenv(CHAOS_ENV, "sleep:api='iperf':60")
+    assert main(["HW", "--point-timeout", "10", "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: PointFailed: point PointSpec(workload='rawio'" in err
+    assert "api='iperf'" in err and "--point-timeout=10.0s" in err
 
 
 # ------------------------------------------------- interrupt -> re-run
@@ -296,63 +294,41 @@ def test_cli_interrupt_then_same_command_serves_finished_points(
 # ---------------------------------- mid-batch persistence (regression)
 
 
-def test_mid_batch_failure_keeps_completed_results(tmp_path, monkeypatch):
-    """A batch that dies halfway keeps everything it finished: cache.put
-    happens per completion, not at the end (the all-or-nothing bug)."""
+@pytest.mark.parametrize(
+    "executor",
+    [SerialExecutor(), ResilientParallelExecutor(jobs=2)],
+    ids=["serial", "parallel"],
+)
+def test_mid_batch_failure_keeps_completed_results(executor, tmp_path, monkeypatch):
+    """A point that raises is attempted once and stops the batch with its
+    own exception, whichever executor runs it; everything that finished
+    persisted, because cache.put happens per completion."""
     real = executor_mod.run_point
-    calls = []
-
-    def flaky(spec, reps=1, base_seed=0):
-        calls.append(spec)
-        if len(calls) == 2:
-            raise RuntimeError("simulated mid-batch death")
-        return real(spec, reps=reps, base_seed=base_seed)
-
-    monkeypatch.setattr(executor_mod, "run_point", flaky)
+    log = tmp_path / "attempts.log"
+    monkeypatch.setattr(executor_mod, "run_point", logged_run_point(log, fail=OTHER))
     cache = ResultCache(tmp_path / "c")
-    with pytest.raises(RuntimeError, match="mid-batch death"):
-        execute_plan(tiny_plan(), cache=cache)
-    assert cache.stats.stored == 1
-    assert len(cache) == 1  # the completed first half persisted
+    with pytest.raises(RuntimeError) as exc:
+        execute_plan(tiny_plan(), executor=executor, cache=cache)
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "simulated point failure"
+    attempts = log.read_text().splitlines()
+    assert attempts.count(spec_token(OTHER)) == 1
+    # points in flight when OTHER failed drained into the cache
+    finished = [token for token in attempts if token != spec_token(OTHER)]
+    assert spec_token(SMALL) in finished
+    assert cache.stats.stored == len(cache) == len(finished)
 
-    # the rerun serves the survivor from cache and computes the rest
+    # the rerun serves the survivors from cache and computes the rest
     monkeypatch.setattr(executor_mod, "run_point", real)
     warm = ResultCache(tmp_path / "c")
-    fig, report = execute_plan(tiny_plan(), cache=warm)
-    assert warm.stats.hits == 1
-    assert warm.stats.misses == 2
+    fig, report = execute_plan(tiny_plan(), executor=executor, cache=warm)
+    assert warm.stats.hits == len(finished)
+    assert warm.stats.misses == report.executed_points == 3 - len(finished)
     plain, _ = execute_plan(tiny_plan())
     assert series_data(fig) == series_data(plain)
 
 
 # ------------------------------------------------------------- pieces
-
-
-def test_hole_result_is_all_nan():
-    hole = hole_result(SMALL, 2)
-    assert hole.spec == SMALL and hole.reps == 2
-    for pair in (hole.write_bw, hole.read_bw, hole.write_iops, hole.read_iops):
-        assert math.isnan(pair[0]) and math.isnan(pair[1])
-
-
-def test_quarantine_survives_corrupt_file(tmp_path):
-    qpath = tmp_path / "q.json"
-    # garbage, then well-formed documents whose entries are no mapping
-    corrupt = ["{broken"] + [
-        f'{{"schema": {Quarantine.SCHEMA}, "entries": {entries}}}'
-        for entries in ("[1, 2]", "5", '"ab"', "null")
-    ]
-    for text in corrupt:
-        qpath.write_text(text)
-        q = Quarantine(qpath)
-        assert len(q) == 0, text
-        q.add(
-            key="k", token=spec_token(SMALL), reps=2, base_seed=0,
-            attempts=3, reason="error", error="Boom: x",
-        )
-        again = Quarantine(qpath)
-        assert again.has("k")
-        assert again.entries["k"]["spec_token"] == spec_token(SMALL)
 
 
 def test_sigint_handler_restored(serial_figure):

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from typing import Dict, Generator, List, Optional
 
 from repro.ceph.monitor import CephCluster
 from repro.ceph.osd import Osd
-from repro.ceph.params import CephParams
 from repro.ceph.placement import PgMap
 from repro.errors import InvalidArgumentError, NotFoundError, UnavailableError
-from repro.faults.retry import RetryPolicy, run_with_retry
+from repro.faults.retry import RetryPolicy
+from repro.hardware.client import StoreClient
 from repro.hardware.cluster import ClientNode
-from repro.obs.ledger import NULL_CONTEXT, NULL_LEDGER
-from repro.sim.core import Interrupt
+from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
 from repro.units import Bytes, zeros
 
@@ -76,9 +73,17 @@ class CephPool:
         return f"<CephPool {self.name} pgs={self.pg_num} {scheme}>"
 
 
-class RadosClient:
+class RadosClient(StoreClient):
     """A librados client on one client node; all methods are timed
     simulation coroutines."""
+
+    layer = "ceph"
+    bytes_metrics = ("ceph.osd.bytes_written", "ceph.osd.bytes_read")
+    latency_metrics = {
+        "write": "per-op object write latency (replicated and EC)",
+        "read": "per-op object read latency (replicated and EC)",
+    }
+    failover_help = "replicated reads served by a non-primary replica"
 
     def __init__(
         self,
@@ -87,52 +92,17 @@ class RadosClient:
         jitter_sigma: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
     ):
-        self.ceph = ceph
-        self.node = node
-        self.name = f"rados.{node.name}"
-        self.cluster = ceph.cluster
-        self.sim = ceph.cluster.sim
-        self.net = ceph.cluster.net
-        self.params: CephParams = ceph.params
-        self.retry = retry_policy or RetryPolicy()
-        self._retry_rng: Optional[np.random.Generator] = None
-        self.retries = 0
-        self.jitter = ceph.cluster.rng.lognormal_factor(
-            f"rados.{node.name}.jitter", jitter_sigma
+        super().__init__(
+            ceph.cluster, node, f"rados.{node.name}", ceph.params,
+            jitter_sigma, retry_policy,
         )
-        self._op_rng = ceph.cluster.rng.stream(f"rados.{node.name}.op-jitter")
-        self.op_jitter_sigma = 0.1
+        self.ceph = ceph
         self.connected = False
-        # Observability (dormant when the cluster carries none); the op
-        # ledger is a null object unless one is active.
-        self._ledger = NULL_LEDGER
-        self._obs = ceph.cluster.obs
         if self._obs is not None:
-            if self._obs.ledger is not None:
-                self._ledger = self._obs.ledger
             reg = self._obs.registry
-            self._tid = self._obs.node_tid(node)
             self._m_mon = reg.counter(
                 "ceph.mon.ops", unit="ops",
                 description="requests charged on the monitor",
-            )
-            self._m_bytes_w = reg.counter("ceph.osd.bytes_written", unit="B")
-            self._m_bytes_r = reg.counter("ceph.osd.bytes_read", unit="B")
-            self._m_retried = reg.counter(
-                "ceph.ops.retried", unit="ops",
-                description="operations re-attempted after UnavailableError/timeout",
-            )
-            self._m_failed_over = reg.counter(
-                "ceph.ops.failed_over", unit="ops",
-                description="replicated reads served by a non-primary replica",
-            )
-            self._m_lat_w = reg.latency_histogram(
-                "ceph.lat.write", unit="s",
-                description="per-op object write latency (replicated and EC)",
-            )
-            self._m_lat_r = reg.latency_histogram(
-                "ceph.lat.read", unit="s",
-                description="per-op object read latency (replicated and EC)",
             )
             self._m_osd_ops = reg.counter(
                 "ceph.osd.ops", unit="ops",
@@ -140,25 +110,10 @@ class RadosClient:
             )
 
     # -- plumbing ------------------------------------------------------------
-    def _serial(self):
-        dt = (self.params.rpc_rtt + self.params.client_io_overhead) * self.jitter
-        if self.op_jitter_sigma > 0:
-            dt *= float(np.exp(self._op_rng.normal(0.0, self.op_jitter_sigma)))
-        return self.sim.timeout(dt)
-
-    def _backoff_rng(self) -> np.random.Generator:
-        if self._retry_rng is None:
-            self._retry_rng = self.cluster.rng.stream(
-                f"rados.{self.node.name}.retry"
-            )
-        return self._retry_rng
-
     def _mon_request(self, ops: float = 1.0) -> Generator:
         if self._obs is not None:
             self._m_mon.inc(ops)
-        yield self._serial()
-        flow = self.net.transfer(ops, [(self.ceph.monitor.link, 1.0)], name="mon-req")
-        yield flow.done
+        return self._request(self.ceph.monitor.link, ops, "mon-req")
 
     def _require_connected(self) -> None:
         if not self.connected:
@@ -188,39 +143,49 @@ class RadosClient:
         demand_cap: float = float("inf"),
         op_ctx=NULL_CONTEXT,
     ) -> Generator:
+        """The OSD flow, inside a ``ceph.<op>`` span when observed.
+
+        A plain function returning the flow's generator, so an
+        unobserved op adds no generator level of its own."""
         if self._obs is None:
-            yield from self._data_flow_raw(
+            return self._osd_flow(
                 kind, per_osd, name, ops_per_osd, ops_by_osd, demand_cap, op_ctx
             )
-            return
         nbytes = float(sum(per_osd.values()))
         if nbytes > 0:
-            (self._m_bytes_w if kind == "write" else self._m_bytes_r).inc(nbytes)
             if ops_by_osd is not None:
                 self._m_osd_ops.inc(sum(ops_by_osd.values()))
             else:
                 self._m_osd_ops.inc(ops_per_osd * len(per_osd))
         op = name[len("rados-"):] if name.startswith("rados-") else name
-        with self._obs.tracer.span(
-            f"ceph.{op}", cat="ceph", tid=self._tid, args={"bytes": nbytes}
-        ):
-            yield from self._data_flow_raw(
-                kind, per_osd, name, ops_per_osd, ops_by_osd, demand_cap, op_ctx
-            )
+        return self._observed(
+            kind, nbytes, op, {"bytes": nbytes}, self._osd_flow,
+            kind, per_osd, name, ops_per_osd, ops_by_osd, demand_cap, op_ctx,
+        )
 
-    def _data_flow_raw(
+    def _osd_flow(
         self,
         kind: str,
         per_osd: Dict[Osd, int],
         name: str,
-        ops_per_osd: float = 1.0,
-        ops_by_osd: Optional[Dict[Osd, float]] = None,
-        demand_cap: float = float("inf"),
-        op_ctx=NULL_CONTEXT,
+        ops_per_osd: float,
+        ops_by_osd: Optional[Dict[Osd, float]],
+        demand_cap: float,
+        op_ctx,
     ) -> Generator:
+        """Ceph's own take on docs/MODEL.md §3.
+
+        The OSD data path (journaling, checksums, PG locking) charges
+        each OSD's own device link for writes as well as reads, and both
+        the device and the node aggregate at ``write_efficiency`` or
+        ``read_efficiency``; the NICs run at ``protocol_efficiency``.
+        Each OSD's request slots (``op_link``) follow its device term,
+        so the terms interleave per OSD and the shared
+        :meth:`_data_loads` does not apply.
+        """
         total = float(sum(per_osd.values()))
         if total <= 0:
-            return
+            return self._flow(total, [], name)  # nothing to move
         loads: Dict[Link, float] = {}
 
         def add(link: Link, amount: float) -> None:
@@ -254,14 +219,7 @@ class RadosClient:
                 add(node.nic_tx, nbytes / proto)
                 add(node.ssd_agg_r, nbytes / deveff)
         usages = [(link, load / total) for link, load in loads.items()]
-        flow = self.net.transfer(total, usages, demand_cap=demand_cap, name=name)
-        try:
-            yield flow.done
-        except Interrupt:
-            # op timed out (retry path): release the flow's link shares
-            self.net.cancel(flow)
-            raise
-        op_ctx.note_transfer(flow)
+        return self._flow(total, usages, name, demand_cap, op_ctx)
 
     # -- cluster / pool management ------------------------------------------------
     def connect(self) -> Generator:
@@ -326,7 +284,7 @@ class RadosClient:
             if pool.is_ec:
                 yield from self._ec_write(pool, obj, offset, data, nbytes, op_ctx=opx)
                 if self._obs is not None:
-                    self._m_lat_w.observe(self.sim.now - start)
+                    self._m_lat["write"].observe(self.sim.now - start)
                 return
             acting = pool.acting_set(obj)
             per_osd: Dict[Osd, int] = {osd: nbytes for osd in acting}
@@ -341,7 +299,7 @@ class RadosClient:
             pool.object_sizes[obj] = max(pool.object_sizes.get(obj, 0), offset + nbytes)
             yield from self._data_flow("write", per_osd, "rados-write", op_ctx=opx)
             if self._obs is not None:
-                self._m_lat_w.observe(self.sim.now - start)
+                self._m_lat["write"].observe(self.sim.now - start)
 
     def _ec_write(self, pool: CephPool, obj: str, offset: Bytes, data, nbytes: Bytes,
                   op_ctx=NULL_CONTEXT) -> Generator:
@@ -419,8 +377,7 @@ class RadosClient:
                     )
                 primary = survivors[0]
                 opx.flag("failed_over")
-                if self._obs is not None:
-                    self._m_failed_over.inc()
+                self._count_failover()
             yield from self._data_flow("read", {primary: readable}, "rados-read",
                                        op_ctx=opx)
             record = primary.objects.get((pool.name, obj))
@@ -429,8 +386,7 @@ class RadosClient:
                 return piece.ljust(readable, b"\0")
             return zeros(readable)
 
-        hist = self._m_lat_r if self._obs is not None else None
-        return (yield from run_with_retry(self, op, "read", "ceph.lat.read", hist))
+        return (yield from self._with_retry(op, "read"))
 
     def _ec_read(self, pool: CephPool, obj: str, offset: int, readable: int,
                  op_ctx=NULL_CONTEXT) -> Generator:

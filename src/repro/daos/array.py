@@ -60,7 +60,7 @@ class DaosArray(DaosObject):
         self._size = 0
         #: reads served by a non-primary replica or through EC
         #: reconstruction since creation (clients diff this to count
-        #: ``ops.failed_over``)
+        #: ``daos.ops.failed_over``)
         self.failovers = 0
         #: per chunk index, the number of valid bytes written in it
         self._extents: Dict[int, int] = {}

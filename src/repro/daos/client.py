@@ -22,7 +22,7 @@ see ``repro.workloads``).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +30,12 @@ from repro.daos.array import DaosArray
 from repro.daos.container import Container
 from repro.daos.kv import DaosKV
 from repro.daos.objclass import ObjectClass
-from repro.daos.params import DaosParams
 from repro.daos.pool import Engine, Pool, Target
 from repro.errors import InvalidArgumentError
-from repro.faults.retry import RetryPolicy, run_with_retry
+from repro.faults.retry import RetryPolicy
+from repro.hardware.client import StoreClient
 from repro.hardware.cluster import ClientNode, Cluster
-from repro.obs.ledger import NULL_CONTEXT, NULL_LEDGER
-from repro.sim.core import Interrupt
+from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
 from repro.units import Bytes, MiB
 
@@ -72,8 +71,16 @@ def _exact_fold(w: float, n: int) -> float:
     return float(np.cumsum(np.full(n, w))[-1])
 
 
-class DaosClient:
+class DaosClient(StoreClient):
     """A libdaos client bound to one client node."""
+
+    layer = "daos"
+    bytes_metrics = ("daos.bytes.written", "daos.bytes.read")
+    latency_metrics = dict.fromkeys(
+        ("arr-write", "arr-read", "kv-put", "kv-get"),
+        "completed-op latency, retries/backoff included",
+    )
+    failover_help = "reads served by a non-primary replica or EC reconstruction"
 
     def __init__(
         self,
@@ -87,12 +94,13 @@ class DaosClient:
     ):
         if cohort < 1:
             raise InvalidArgumentError(f"cohort must be >= 1, got {cohort}")
-        self.cluster = cluster
+        if cohort > 1 and name is None:
+            name = f"daos@{node.name}x{cohort}"
+        super().__init__(
+            cluster, node, name or f"daos@{node.name}", pool.params,
+            jitter_sigma, retry_policy,
+        )
         self.pool = pool
-        self.node = node
-        self.sim = cluster.sim
-        self.net = cluster.net
-        self.params: DaosParams = pool.params
         #: this client stands for ``cohort`` identical clients on
         #: ``cohort`` identical nodes: every flow it opens carries
         #: cohort-scaled weights on shared (server-side) links while
@@ -103,158 +111,16 @@ class DaosClient:
         #: links private to each cohort member's node — their weights
         #: are *not* scaled by ``cohort`` (see :meth:`mark_local`)
         self._local_links = {node.nic_tx, node.nic_rx}
-        if cohort > 1 and name is None:
-            name = f"daos@{node.name}x{cohort}"
-        self.name = name or f"daos@{node.name}"
-        #: retry/timeout/backoff for data-path ops; the default policy
-        #: injects no events on the happy path, so fault-free timing is
-        #: unchanged
-        self.retry = retry_policy or RetryPolicy()
-        self._retry_rng = None  # created on first backoff draw
-        self.retries = 0
-        self.failed_over = 0
-        #: per-client multiplicative jitter on serial overheads
-        self.jitter = cluster.rng.lognormal_factor(f"{self.name}.jitter", jitter_sigma)
-        # Per-op latency noise: real RPCs vary op to op, which is what
-        # desynchronises lockstepped sequential writers whose layouts
-        # would otherwise collide on the same server forever.
-        self._op_rng = cluster.rng.stream(f"{self.name}.op-jitter")
-        self.op_jitter_sigma = 0.1
-        # Observability (dormant unless the cluster carries one): cached
-        # instrument references so the hot path is one None-check.  The
-        # op ledger stays a null object unless one is active, so every
-        # decomposition site is an unconditional no-op call.
-        self._ledger = NULL_LEDGER
-        self._obs = cluster.obs
         if self._obs is not None:
-            if self._obs.ledger is not None:
-                self._ledger = self._obs.ledger
             reg = self._obs.registry
-            self._tid = self._obs.node_tid(node)
             self._m_rpc = reg.counter(
                 "daos.rpc.count", unit="rpcs",
                 description="serial client RPC round trips",
             )
-            self._m_bytes_w = reg.counter("daos.bytes.written", unit="B")
-            self._m_bytes_r = reg.counter("daos.bytes.read", unit="B")
             self._m_md_ops = reg.counter(
                 "daos.md.ops", unit="ops",
                 description="engine metadata + pool-service operations",
             )
-            self._m_retried = reg.counter(
-                "ops.retried", unit="ops",
-                description="operations re-attempted after UnavailableError/timeout",
-            )
-            self._m_failed_over = reg.counter(
-                "ops.failed_over", unit="ops",
-                description="reads served by a non-primary replica or EC reconstruction",
-            )
-            self._m_lat = {
-                op: reg.latency_histogram(
-                    f"daos.lat.{op}", unit="s",
-                    description="completed-op latency, retries/backoff included",
-                )
-                for op in ("arr-write", "arr-read", "kv-put", "kv-get")
-            }
-
-    # ------------------------------------------------------------------ timing
-    def _serial(self, extra: float = 0.0):
-        """Waitable for one RPC round trip plus client CPU."""
-        dt = (self.params.rpc_rtt + self.params.client_io_overhead + extra) * self.jitter
-        if self.op_jitter_sigma > 0:
-            dt *= float(np.exp(self._op_rng.normal(0.0, self.op_jitter_sigma)))
-        if self._obs is not None:
-            self._m_rpc.inc()
-        return self.sim.timeout(dt)
-
-    # ----------------------------------------------------------------- retries
-    def _backoff_rng(self):
-        if self._retry_rng is None:
-            self._retry_rng = self.cluster.rng.stream(f"{self.name}.retry")
-        return self._retry_rng
-
-    def _with_retry(self, make_op, name: str) -> Generator:
-        """Run ``make_op(op_ctx)`` (a coroutine factory) under the
-        client's :class:`~repro.faults.retry.RetryPolicy`.
-
-        ``UnavailableError`` — a down target, a write below quorum, or a
-        per-op timeout — is retried with exponential backoff up to
-        ``max_attempts``; each retry re-runs the functional op against
-        the *current* pool map, so writes land on the post-rebuild
-        layout and reads fail over to surviving replicas.  Anything
-        else (notably :class:`~repro.errors.DataLossError`) propagates
-        immediately.  With ``op_timeout`` unset the op runs inline:
-        fault-free runs see the exact same event sequence as without
-        the retry layer.
-
-        The retry loop itself is the shared
-        :func:`~repro.faults.retry.run_with_retry` runner (same one the
-        Lustre and Ceph clients use): one op-ledger context for the
-        whole loop, per-op tail latency measured start-to-success in
-        simulated time (retries and backoff included), so p999 reflects
-        what a caller actually waited for the op.
-        """
-        hist = self._m_lat.get(name) if self._obs is not None else None
-        return run_with_retry(self, make_op, name, f"daos.lat.{name}", hist)
-
-    def _link_loads_for_data(
-        self,
-        kind: str,
-        charges: Dict[Target, float],
-        touch_ssd: bool = True,
-        touch_net: bool = True,
-    ) -> Dict[Link, float]:
-        """Absolute link-unit consumption for a data movement.
-
-        ``charges`` is per-target wire bytes (amplification included).
-        Write: client NIC TX -> server NIC RX -> SSD write channels.
-        Read: SSD read channels -> server NIC TX -> client NIC RX.
-        Writes charge the *node-aggregate* SSD links but not individual
-        device channels: engines buffer incoming extents and flush them
-        asynchronously (VOS write-ahead behaviour), so the device that
-        ultimately absorbs one op never serialises that op — but a node's
-        total SSD write bandwidth still bounds sustained throughput.
-        Reads are synchronous and charge the specific device serving each
-        extent in addition to the aggregate.
-        """
-        if kind not in ("write", "read"):
-            raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
-        eff = self.params.protocol_efficiency
-        loads: Dict[Link, float] = {}
-
-        def add(link: Link, amount: float) -> None:
-            loads[link] = loads.get(link, 0.0) + amount
-
-        total = float(sum(charges.values()))
-        if total <= 0:
-            return loads
-        if touch_net:
-            if kind == "write":
-                add(self.node.nic_tx, total / eff)
-            else:
-                add(self.node.nic_rx, total / eff)
-        per_node: Dict[int, float] = {}
-        for target, nbytes in charges.items():
-            node = target.engine.node
-            per_node[node.index] = per_node.get(node.index, 0.0) + nbytes
-            if touch_ssd and kind == "read":
-                # read-ahead spreads a sequential stream's device load
-                # over the next `readahead_depth` rotating targets; over a
-                # run every device still absorbs its full share
-                add(target.device.read_link, nbytes / eff / self.params.readahead_depth)
-        for node_index, nbytes in per_node.items():
-            node = self.cluster.servers[node_index]
-            if kind == "write":
-                if touch_net:
-                    add(node.nic_rx, nbytes / eff)
-                if touch_ssd:
-                    add(node.ssd_agg_w, nbytes / eff)
-            else:
-                if touch_net:
-                    add(node.nic_tx, nbytes / eff)
-                if touch_ssd:
-                    add(node.ssd_agg_r, nbytes / eff)
-        return loads
 
     def mark_local(self, link: Link) -> None:
         """Declare ``link`` per-member-node private (a FUSE daemon pool,
@@ -263,46 +129,27 @@ class DaosClient:
         represented nodes owns its own copy of the resource."""
         self._local_links.add(link)
 
-    def _transfer(
-        self,
-        name: str,
-        units: float,
-        loads: Dict[Link, float],
-        demand_cap: float = float("inf"),
-        op_ctx=NULL_CONTEXT,
-    ) -> Generator:
-        """Run one flow of ``units`` with the given absolute link loads.
+    def _usages(self, units: float, loads: Dict[Link, float]) -> List[Tuple[Link, float]]:
+        """Per-unit link weights of a flow of ``units`` with ``loads``.
 
-        ``units`` / ``demand_cap`` are *per cohort member*; with
-        ``cohort`` N > 1 the weights of shared links are scaled to the
-        N-member aggregate (see :func:`cohort_weight`), so the flow's
-        per-member rate is exactly what each of N symmetric flows would
-        get, while node-local links keep their per-member weight.
+        ``units`` is *per cohort member*; with ``cohort`` N > 1 the
+        weights of shared links are scaled to the N-member aggregate
+        (see :func:`cohort_weight`), so the flow's per-member rate is
+        exactly what each of N symmetric flows would get, while
+        node-local links keep their per-member weight.
         """
-        if units <= 0:
-            return
         n = self.cohort
         if n == 1:
-            usages = [(link, load / units) for link, load in loads.items() if load > 0]
-        else:
-            usages = []
-            for link, load in loads.items():
-                if load <= 0:
-                    continue
-                w = load / units
-                if link not in self._local_links:
-                    w = cohort_weight(w, n)
-                usages.append((link, w))
-        if not usages:
-            return
-        flow = self.net.transfer(units, usages, demand_cap=demand_cap, name=name)
-        try:
-            yield flow.done
-        except Interrupt:
-            # op timed out (retry path): release the flow's link shares
-            self.net.cancel(flow)
-            raise
-        op_ctx.note_transfer(flow)
+            return [(link, load / units) for link, load in loads.items() if load > 0]
+        usages = []
+        for link, load in loads.items():
+            if load <= 0:
+                continue
+            w = load / units
+            if link not in self._local_links:
+                w = cohort_weight(w, n)
+            usages.append((link, w))
+        return usages
 
     def bulk_transfer(
         self,
@@ -318,12 +165,13 @@ class DaosClient:
     ) -> Generator:
         """One aggregated flow for a batch of operations (no serial charge).
 
+        The data rides docs/MODEL.md §3's loads (:meth:`_data_loads`).
         Metadata work rides the same flow as extra link loads, so a batch
         that is metadata-bound is throttled by the metadata links exactly
         as its data would be by NICs.  ``extra_loads`` lets callers couple
         arbitrary links (e.g. a DFUSE daemon's request pool) to the flow.
         """
-        loads = self._link_loads_for_data(kind, charges, touch_ssd=touch_ssd)
+        loads = self._data_loads(kind, charges, touch_ssd=touch_ssd)
         total_md = 0.0
         if md_ops_by_engine:
             for engine, ops in md_ops_by_engine.items():
@@ -342,24 +190,17 @@ class DaosClient:
         nbytes = units
         if units <= 0:
             units = max(total_md, 1.0)
+        usages = self._usages(units, loads)
+        flow_name = f"{self.name}.{name}"
         if self._obs is None:
-            yield from self._transfer(
-                f"{self.name}.{name}", units, loads, demand_cap=demand_cap,
-                op_ctx=op_ctx,
-            )
+            yield from self._flow(units, usages, flow_name, demand_cap, op_ctx)
             return
-        if nbytes > 0:
-            (self._m_bytes_w if kind == "write" else self._m_bytes_r).inc(nbytes)
         if total_md > 0:
             self._m_md_ops.inc(total_md)
-        with self._obs.tracer.span(
-            f"daos.{name}", cat="daos", tid=self._tid,
-            args={"bytes": nbytes, "md_ops": total_md},
-        ):
-            yield from self._transfer(
-                f"{self.name}.{name}", units, loads, demand_cap=demand_cap,
-                op_ctx=op_ctx,
-            )
+        yield from self._observed(
+            kind, nbytes, name, {"bytes": nbytes, "md_ops": total_md},
+            self._flow, units, usages, flow_name, demand_cap, op_ctx,
+        )
 
     def _md_flow(self, ops_by_engine: Dict[Engine, float], rsvc_ops: float = 0.0, name: str = "md") -> Generator:
         yield from self.bulk_transfer("write", {}, ops_by_engine, rsvc_ops, name=name)
@@ -442,8 +283,9 @@ class DaosClient:
 
     # -------------------------------------------------------------- array I/O
     def _request_ops(self, charges: Dict[Target, int]) -> Dict[Engine, float]:
-        """Each target RPC consumes one request slot on its engine; this is
-        what bounds small-I/O IOPS server-side (paper Fig. 2)."""
+        """Each target RPC (an array extent or a KV replica) consumes one
+        request slot on its engine; this is what bounds small-I/O IOPS
+        server-side (paper Fig. 2)."""
         ops: Dict[Engine, float] = {}
         for target in charges:
             ops[target.engine] = ops.get(target.engine, 0.0) + 1.0
@@ -460,7 +302,7 @@ class DaosClient:
 
         Engines buffer and flush asynchronously, so the op is bounded by
         NICs and the node-aggregate SSD channel, never by the single
-        device absorbing it (see :meth:`_link_loads_for_data`).
+        device absorbing it (see :meth:`_data_loads`).
 
         Runs under the client's retry policy: a write rejected by a down
         group retries against the post-rebuild pool map.
@@ -482,7 +324,7 @@ class DaosClient:
 
         Reads route around dead targets inside the functional store
         (replica failover / EC reconstruction, counted as
-        ``ops.failed_over``); the retry policy covers timeouts and
+        ``daos.ops.failed_over``); the retry policy covers timeouts and
         transient unavailability."""
 
         def op(opx) -> Generator:
@@ -491,9 +333,7 @@ class DaosClient:
             before = arr.failovers
             data, charges = arr.read(offset, nbytes)
             if arr.failovers > before:
-                self.failed_over += 1
-                if self._obs is not None:
-                    self._m_failed_over.inc()
+                self._count_failover()
                 # the transfer ahead moves surviving-replica / parity
                 # data: classify it as reconstruction, not plain xfer
                 opx.mark_degraded()
@@ -520,12 +360,6 @@ class DaosClient:
         yield from self._md_flow({engine: 1.0}, name="arr-truncate")
 
     # ----------------------------------------------------------------- KV I/O
-    def _kv_md_ops(self, charges: Dict[Target, int]) -> Dict[Engine, float]:
-        ops: Dict[Engine, float] = {}
-        for target in charges:
-            ops[target.engine] = ops.get(target.engine, 0.0) + 1.0
-        return ops
-
     def kv_put(self, kv: DaosKV, key: str, value: bytes) -> Generator:
         """Timed KV put; replicas are charged one md op + value bytes each.
         KV data lives in engine DRAM (the paper's deployments store
@@ -536,7 +370,7 @@ class DaosClient:
             opx.note("serial")
             charges = kv.put(key, value)
             yield from self.bulk_transfer(
-                "write", charges, self._kv_md_ops(charges), touch_ssd=False,
+                "write", charges, self._request_ops(charges), touch_ssd=False,
                 name="kv-put", op_ctx=opx,
             )
 

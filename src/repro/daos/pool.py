@@ -37,6 +37,8 @@ class Target:
 
     def __init__(self, engine: "Engine", local_index: int, device: SsdDevice):
         self.engine = engine
+        #: the server node hosting the engine (and the device)
+        self.node = engine.node
         self.local_index = local_index
         self.device = device
         self.global_index: int = -1  # assigned by the pool

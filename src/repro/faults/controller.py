@@ -3,10 +3,12 @@
 One controller serves one workload environment (``DaosEnv`` /
 ``LustreEnv`` / ``CephEnv`` — dispatched structurally on the ``pool`` /
 ``fs`` / ``ceph`` attribute, so there is no import cycle with the
-workload layer).  Each event runs as its own process: wait for the
-anchor phase (if any), sleep to the injection time, drive the failure
-primitive, optionally spawn a throttled DAOS rebuild as background
-traffic, and optionally undo the fault after its recovery delay.
+workload layer; the DAOS rebuild is imported where it is spawned, so
+importing this package imports no store).  Each event runs as its own
+process: wait for the anchor phase (if any), sleep to the injection
+time, drive the failure primitive, optionally spawn a throttled DAOS
+rebuild as background traffic, and optionally undo the fault after its
+recovery delay.
 
 Observability (dormant unless the cluster carries an ``Observability``):
 ``faults.injected`` / ``faults.recovered`` counters, a
@@ -17,13 +19,15 @@ fault's outage window.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Union
 
-from repro.daos.rebuild import RebuildReport, run_rebuild
 from repro.errors import ConfigError
 from repro.faults.plan import PARTITION_FACTOR, FaultEvent, FaultPlan, parse_fault_plan
 from repro.obs.ledger import NULL_LEDGER
 from repro.sim.primitives import Gate
+
+if TYPE_CHECKING:
+    from repro.daos.rebuild import RebuildReport
 
 __all__ = ["FaultController"]
 
@@ -234,6 +238,10 @@ class FaultController:
         )
 
     def _rebuild_main(self, pool: Any, targets: List[Any], share: float) -> Generator[Any, Any, None]:
+        # the store clients import repro.faults.retry, so a module-level
+        # import of the DAOS package here would be circular
+        from repro.daos.rebuild import run_rebuild
+
         self._rebuilds_running += 1
         if self._obs is not None:
             self._g_rebuild.set(self._rebuilds_running)

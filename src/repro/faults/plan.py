@@ -95,12 +95,17 @@ class FaultEvent:
         if self.factor < 0 or self.factor > 1.0:
             raise ConfigError(f"factor must be in [0, 1], got {self.factor}")
         if self.kind in ("target", "server"):
-            try:
-                int(self.arg)
-            except ValueError:
+            # a non-negative ASCII decimal, optionally '+'-signed: int()
+            # alone would also take '-1', '3_0' and non-ASCII digits
+            digits = self.arg[1:] if self.arg.startswith("+") else self.arg
+            if not (digits.isascii() and digits.isdigit()):
                 raise ConfigError(
-                    f"{self.kind} fault argument must be an index: {self.arg!r}"
-                ) from None
+                    f"{self.kind} fault argument must be a non-negative "
+                    f"index: {self.arg!r}"
+                )
+            # one fault, one spelling: '03' and '+3' are the index 3, so
+            # they share its spec token, cache key and point seed
+            object.__setattr__(self, "arg", str(int(digits)))
         if self.kind == "ssd" and "." not in self.arg:
             raise ConfigError(
                 f"ssd fault argument must look like 'srv0.ssd2': {self.arg!r}"

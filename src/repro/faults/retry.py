@@ -1,9 +1,11 @@
 """Client retry policy: attempts, per-op timeout, exponential backoff.
 
-Backoff jitter draws from a named :class:`~repro.sim.randomness.RngStreams`
-stream owned by the retrying client, so retry timing is deterministic
-per seed and independent across clients — the same de-correlation real
-jittered backoff buys, without wall-clock randomness.
+Backoff jitter draws from the retried
+:class:`~repro.hardware.client.StoreClient`'s own ``<client>.retry``
+:class:`~repro.sim.randomness.RngStreams` stream, so retry timing is
+deterministic per seed and independent across clients — the same
+de-correlation real jittered backoff buys, without wall-clock
+randomness.
 
 The retry machinery owns three op-ledger component names (see
 :mod:`repro.obs.ledger`): clients charge every backoff sleep to
@@ -17,17 +19,19 @@ remainder of an attempt window lost to the op-timeout race to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional, Protocol, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, TypeVar
 
 import numpy as np
 
 from repro.errors import ConfigError, UnavailableError
 
+if TYPE_CHECKING:
+    from repro.hardware.client import StoreClient
+
 __all__ = [
     "BACKOFF_COMPONENT",
     "FAILED_COMPONENT",
     "RetryPolicy",
-    "RetryingClient",
     "TIMEOUT_COMPONENT",
     "run_with_retry",
 ]
@@ -82,32 +86,11 @@ class RetryPolicy:
         return base
 
 
-class RetryingClient(Protocol):
-    """Structural interface :func:`run_with_retry` needs from a client.
-
-    Every store client (DAOS, Lustre, Ceph) satisfies this shape: a
-    cooperative-sim handle, a :class:`RetryPolicy`, a mutable retry
-    counter, an op ledger (possibly the null object), optional
-    observability with a per-backend ``*.ops.retried`` counter, and a
-    lazily-created seeded ``<client>.retry`` backoff RNG stream.
-    """
-
-    sim: Any
-    name: str
-    retry: RetryPolicy
-    retries: int
-    _ledger: Any
-    _obs: Any
-    _m_retried: Any
-
-    def _backoff_rng(self) -> np.random.Generator: ...
-
-
 _T = TypeVar("_T")
 
 
 def run_with_retry(
-    client: RetryingClient,
+    client: StoreClient,
     make_op: Callable[[Any], Generator[Any, Any, _T]],
     op_name: str,
     ledger_name: str,

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DegradedError, InvalidArgumentError
-from repro.faults.retry import RetryPolicy, run_with_retry
+from repro.faults.retry import RetryPolicy
+from repro.hardware.client import StoreClient
 from repro.hardware.cluster import ClientNode
 from repro.lustre.fs import LustreFilesystem
-from repro.obs.ledger import NULL_CONTEXT, NULL_LEDGER
 from repro.lustre.mds import Inode
 from repro.lustre.ost import Ost
-from repro.sim.core import Interrupt
+from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
 from repro.units import Bytes, zeros
 
@@ -32,9 +30,16 @@ class LustreFile:
         return f"<LustreFile {self.inode.path!r} stripes={len(self.osts)}>"
 
 
-class LustreClient:
+class LustreClient(StoreClient):
     """One Lustre client on one client node; all methods are timed
     simulation coroutines."""
+
+    layer = "lustre"
+    bytes_metrics = ("lustre.bytes.written", "lustre.bytes.read")
+    latency_metrics = {
+        "write": "per-op write latency (serial charge + stripe flow)",
+        "read": "per-op read latency (serial charge + stripe flow)",
+    }
 
     def __init__(
         self,
@@ -43,70 +48,23 @@ class LustreClient:
         jitter_sigma: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
     ):
-        self.fs = fs
-        self.node = node
-        self.name = f"lustre.{node.name}"
-        self.cluster = fs.cluster
-        self.sim = fs.cluster.sim
-        self.net = fs.cluster.net
-        self.params = fs.params
-        self.retry = retry_policy or RetryPolicy()
-        self._retry_rng: Optional[np.random.Generator] = None
-        self.retries = 0
-        self.jitter = fs.cluster.rng.lognormal_factor(
-            f"lustre.{node.name}.jitter", jitter_sigma
+        super().__init__(
+            fs.cluster, node, f"lustre.{node.name}", fs.params,
+            jitter_sigma, retry_policy,
         )
-        self._op_rng = fs.cluster.rng.stream(f"lustre.{node.name}.op-jitter")
-        self.op_jitter_sigma = 0.1
-        # Observability (dormant when the cluster carries none); the op
-        # ledger is a null object unless one is active.
-        self._ledger = NULL_LEDGER
-        self._obs = fs.cluster.obs
+        self.fs = fs
         if self._obs is not None:
-            if self._obs.ledger is not None:
-                self._ledger = self._obs.ledger
-            reg = self._obs.registry
-            self._tid = self._obs.node_tid(node)
-            self._m_mds = reg.counter(
+            self._m_mds = self._obs.registry.counter(
                 "lustre.mds.ops", unit="ops",
                 description="requests charged on the metadata server",
             )
-            self._m_bytes_w = reg.counter("lustre.bytes.written", unit="B")
-            self._m_bytes_r = reg.counter("lustre.bytes.read", unit="B")
-            self._m_retried = reg.counter(
-                "lustre.ops.retried", unit="ops",
-                description="operations re-attempted after UnavailableError/timeout",
-            )
-            self._m_lat_w = reg.latency_histogram(
-                "lustre.lat.write", unit="s",
-                description="per-op write latency (serial charge + stripe flow)",
-            )
-            self._m_lat_r = reg.latency_histogram(
-                "lustre.lat.read", unit="s",
-                description="per-op read latency (serial charge + stripe flow)",
-            )
 
     # -- plumbing -------------------------------------------------------------
-    def _serial(self):
-        dt = (self.params.rpc_rtt + self.params.client_io_overhead) * self.jitter
-        if self.op_jitter_sigma > 0:
-            dt *= float(np.exp(self._op_rng.normal(0.0, self.op_jitter_sigma)))
-        return self.sim.timeout(dt)
-
-    def _backoff_rng(self) -> np.random.Generator:
-        if self._retry_rng is None:
-            self._retry_rng = self.cluster.rng.stream(
-                f"lustre.{self.node.name}.retry"
-            )
-        return self._retry_rng
-
     def mds_request(self, ops: float = 1.0) -> Generator:
         """Charge ``ops`` requests on the (single) MDS."""
         if self._obs is not None:
             self._m_mds.inc(ops)
-        yield self._serial()
-        flow = self.net.transfer(ops, [(self.fs.mds.link, 1.0)], name="mds-req")
-        yield flow.done
+        return self._request(self.fs.mds.link, ops, "mds-req")
 
     def bulk_transfer(
         self,
@@ -131,98 +89,47 @@ class LustreClient:
         name: str,
         extra_loads: Optional[Dict[Link, float]] = None,
         demand_cap: float = float("inf"),
-        touch_ost: bool = True,
-        touch_net: bool = True,
         op_ctx=NULL_CONTEXT,
     ) -> Generator:
-        if self._obs is None:
-            yield from self._data_flow_raw(
-                kind, per_ost, name, extra_loads, demand_cap, touch_ost,
-                touch_net, op_ctx
-            )
-            return
-        nbytes = float(sum(per_ost.values()))
-        if nbytes > 0:
-            (self._m_bytes_w if kind == "write" else self._m_bytes_r).inc(nbytes)
-        op = name[len("lustre-"):] if name.startswith("lustre-") else name
-        with self._obs.tracer.span(
-            f"lustre.{op}", cat="lustre", tid=self._tid, args={"bytes": nbytes}
-        ):
-            yield from self._data_flow_raw(
-                kind, per_ost, name, extra_loads, demand_cap, touch_ost,
-                touch_net, op_ctx
-            )
+        """The stripe flow, inside a ``lustre.<op>`` span when observed.
 
-    def _data_flow_raw(
+        A plain function returning the flow's generator, so an
+        unobserved op adds no generator level of its own."""
+        if self._obs is None:
+            return self._stripe_flow(kind, per_ost, name, extra_loads, demand_cap, op_ctx)
+        nbytes = float(sum(per_ost.values()))
+        op = name[len("lustre-"):] if name.startswith("lustre-") else name
+        return self._observed(
+            kind, nbytes, op, {"bytes": nbytes}, self._stripe_flow,
+            kind, per_ost, name, extra_loads, demand_cap, op_ctx,
+        )
+
+    def _stripe_flow(
         self,
         kind: str,
         per_ost: Dict[Ost, int],
         name: str,
-        extra_loads: Optional[Dict[Link, float]] = None,
-        demand_cap: float = float("inf"),
-        touch_ost: bool = True,
-        touch_net: bool = True,
-        op_ctx=NULL_CONTEXT,
+        extra_loads: Optional[Dict[Link, float]],
+        demand_cap: float,
+        op_ctx,
     ) -> Generator:
+        """docs/MODEL.md §3 loads on the OSTs' servers (OSS writeback
+        caches decouple writes from the device; reads hit the specific
+        OST device), plus ``extra_loads``.  A batch that moves no bytes
+        is sized by its extra (MDS) load alone."""
         total = float(sum(per_ost.values()))
-        if total <= 0:
-            total = float(sum((extra_loads or {}).values()))
-            if total <= 0:
-                return
-            usages = [(link, load / total) for link, load in extra_loads.items()]
-            flow = self.net.transfer(total, usages, name=name)
-            try:
-                yield flow.done
-            except Interrupt:
-                # op timed out (retry path): release the flow's link shares
-                self.net.cancel(flow)
-                raise
-            op_ctx.note_transfer(flow)
-            return
-        eff = self.params.protocol_efficiency
-        loads: Dict[Link, float] = {}
-
-        def add(link: Link, amount: float) -> None:
-            loads[link] = loads.get(link, 0.0) + amount
-
-        if touch_net:
-            if kind == "write":
-                add(self.node.nic_tx, total / eff)
-            else:
-                add(self.node.nic_rx, total / eff)
-        per_node: Dict[int, float] = {}
-        for ost, nbytes in per_ost.items():
-            if not ost.alive:
-                raise DegradedError(f"OST {ost.name} is degraded")
-            per_node[ost.node.index] = per_node.get(ost.node.index, 0.0) + nbytes
-            # OSS writeback caches decouple writes from individual device
-            # channels (node-aggregate still charged below); reads are
-            # synchronous and hit the specific OST device.
-            if touch_ost and kind == "read":
-                add(ost.device.read_link, nbytes / eff / self.params.readahead_depth)
-        for node_index, nbytes in per_node.items():
-            node = self.cluster.servers[node_index]
-            if kind == "write":
-                if touch_net:
-                    add(node.nic_rx, nbytes / eff)
-                if touch_ost:
-                    add(node.ssd_agg_w, nbytes / eff)
-            else:
-                if touch_net:
-                    add(node.nic_tx, nbytes / eff)
-                if touch_ost:
-                    add(node.ssd_agg_r, nbytes / eff)
-        for link, amount in (extra_loads or {}).items():
-            add(link, amount)
-        usages = [(link, load / total) for link, load in loads.items()]
-        flow = self.net.transfer(total, usages, demand_cap=demand_cap, name=name)
-        try:
-            yield flow.done
-        except Interrupt:
-            # op timed out (retry path): release the flow's link shares
-            self.net.cancel(flow)
-            raise
-        op_ctx.note_transfer(flow)
+        if total > 0:
+            for ost in per_ost:
+                if not ost.alive:
+                    raise DegradedError(f"OST {ost.name} is degraded")
+            loads = self._data_loads(kind, per_ost)
+            for link, amount in (extra_loads or {}).items():
+                loads[link] = loads.get(link, 0.0) + amount
+        else:
+            loads = extra_loads or {}
+            total = float(sum(loads.values()))
+        usages = [(link, load / total) for link, load in loads.items()] if total > 0 else []
+        return self._flow(total, usages, name, demand_cap, op_ctx)
 
     def _stripe_map(
         self, handle: LustreFile, offset: Bytes, nbytes: Bytes
@@ -324,7 +231,7 @@ class LustreClient:
             handle.inode.size = max(handle.inode.size, offset + nbytes)
             yield from self._data_flow("write", per_ost, "lustre-write", op_ctx=opx)
             if self._obs is not None:
-                self._m_lat_w.observe(self.sim.now - start)
+                self._m_lat["write"].observe(self.sim.now - start)
 
     def read(self, handle: LustreFile, offset: Bytes, nbytes: Bytes) -> Generator:
         """Read; returns bytes (zeros for holes / non-materialised data).
@@ -364,8 +271,7 @@ class LustreClient:
             yield from self._data_flow("read", per_ost, "lustre-read", op_ctx=opx)
             return zeros(nbytes) if out is None else bytes(out)
 
-        hist = self._m_lat_r if self._obs is not None else None
-        return (yield from run_with_retry(self, op, "read", "lustre.lat.read", hist))
+        return (yield from self._with_retry(op, "read"))
 
     def unlink(self, path: str) -> Generator:
         yield from self.mds_request(2.0)

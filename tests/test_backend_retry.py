@@ -311,3 +311,30 @@ def test_ceph_retried_counter_increments():
         drive(cluster, scenario())
     assert client.retries >= 1
     assert obs.registry.counter("ceph.ops.retried").value == client.retries
+
+
+def test_daos_retry_and_failover_counters_file_under_daos():
+    import repro.obs as obs_mod
+    from repro.daos import DaosClient, Pool
+
+    obs = obs_mod.Observability()
+    with obs_mod.activated(obs):
+        cluster = Cluster(n_servers=2, n_clients=1, seed=0)
+        pool = Pool(cluster)
+        client = DaosClient(cluster, pool, cluster.clients[0])
+
+        def scenario():
+            yield from client.connect()
+            cont = yield from client.create_container("c")
+            arr = yield from client.create_array(cont, "RP_2G1", chunk_size=4 * KiB)
+            yield from client.array_write(arr, 0, b"x" * 4096)
+            pool.fail_target(arr.groups[0][0].global_index)
+            yield from client.array_read(arr, 0, 4096)
+
+        drive(cluster, scenario())
+    registry = obs.registry
+    assert client.failed_over == 1
+    assert registry.get("daos.ops.failed_over").value == 1
+    assert registry.get("daos.ops.retried").value == client.retries == 0
+    # no phantom "ops" layer beside daos/flownet/sim in the summary
+    assert "ops" not in registry.by_layer()

@@ -77,6 +77,22 @@ def test_plan_canonicalizes():
     assert plan.events[0].phase is None
 
 
+@pytest.mark.parametrize("arg", ["3", "03", "+3"])
+def test_plan_writes_one_spelling_per_index(arg):
+    # one fault, one spec token (and so one cache key and point seed)
+    for kind in ("target", "server"):
+        plan = parse_fault_plan(f"{kind}@0.01:{arg}")
+        assert plan.spec() == f"{kind}@0.01:3"
+        assert plan == parse_fault_plan(f"{kind}@0.01:3")
+
+
+@pytest.mark.parametrize("arg", ["-1", "3_0", "\u0663"])
+def test_plan_rejects_non_decimal_index(arg):
+    for kind in ("target", "server"):
+        with pytest.raises(ConfigError, match=f"{kind} fault argument.*{arg!r}"):
+            parse_fault_plan(f"{kind}@0.01:{arg}")
+
+
 def test_plan_phase_anchor_parsed():
     (event,) = parse_fault_plan("server@write+0.1:1,recover=0.5,rebuild").events
     assert event == FaultEvent(

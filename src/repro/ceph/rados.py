@@ -13,7 +13,7 @@ from repro.hardware.client import StoreClient
 from repro.hardware.cluster import ClientNode
 from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
-from repro.units import Bytes, zeros
+from repro.units import Bytes, left_sum, zeros
 
 __all__ = ["CephPool", "RadosClient"]
 
@@ -151,10 +151,10 @@ class RadosClient(StoreClient):
             return self._osd_flow(
                 kind, per_osd, name, ops_per_osd, ops_by_osd, demand_cap, op_ctx
             )
-        nbytes = float(sum(per_osd.values()))
+        nbytes = left_sum(per_osd.values())
         if nbytes > 0:
             if ops_by_osd is not None:
-                self._m_osd_ops.inc(sum(ops_by_osd.values()))
+                self._m_osd_ops.inc(left_sum(ops_by_osd.values()))
             else:
                 self._m_osd_ops.inc(ops_per_osd * len(per_osd))
         op = name[len("rados-"):] if name.startswith("rados-") else name
@@ -183,7 +183,7 @@ class RadosClient(StoreClient):
         so the terms interleave per OSD and the shared
         :meth:`_data_loads` does not apply.
         """
-        total = float(sum(per_osd.values()))
+        total = left_sum(per_osd.values())
         if total <= 0:
             return self._flow(total, [], name)  # nothing to move
         loads: Dict[Link, float] = {}

@@ -37,7 +37,7 @@ from repro.hardware.client import StoreClient
 from repro.hardware.cluster import ClientNode, Cluster
 from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
-from repro.units import Bytes, MiB
+from repro.units import Bytes, MiB, left_sum
 
 __all__ = ["DaosClient", "cohort_weight"]
 
@@ -186,7 +186,7 @@ class DaosClient(StoreClient):
                 if amount > 0:
                     loads[link] = loads.get(link, 0.0) + amount
                     total_md += amount
-        units = float(sum(charges.values()))
+        units = left_sum(charges.values())
         nbytes = units
         if units <= 0:
             units = max(total_md, 1.0)

@@ -36,6 +36,7 @@ from repro.hardware.cluster import ClientNode, Cluster, ServerNode
 from repro.obs.ledger import NULL_CONTEXT, NULL_LEDGER
 from repro.sim.core import Interrupt
 from repro.sim.flownet import Link
+from repro.units import left_sum
 
 __all__ = ["StoreClient"]
 
@@ -239,7 +240,7 @@ class StoreClient:
         def add(link: Link, amount: float) -> None:
             loads[link] = loads.get(link, 0.0) + amount
 
-        total = float(sum(charges.values()))
+        total = left_sum(charges.values())
         if total <= 0:
             return loads
         write = kind == "write"

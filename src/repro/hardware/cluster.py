@@ -33,6 +33,7 @@ from repro.hardware.ssd import SsdDevice
 from repro.sim.core import Simulator
 from repro.sim.flownet import FlowNetwork, Link
 from repro.sim.randomness import RngStreams
+from repro.units import left_sum
 
 __all__ = ["Cluster", "ServerNode", "ClientNode", "FabricParams"]
 
@@ -137,7 +138,7 @@ class Cluster:
     def write_roofline(self) -> float:
         """Best possible aggregate write bandwidth: per server the min of
         SSD aggregate write and NIC RX (paper: 3.86 GiB/s/server)."""
-        return sum(
+        return left_sum(
             min(s.spec.nvme_write_bw, s.spec.nic_bw) for s in self.servers
         )
 
@@ -145,10 +146,10 @@ class Cluster:
         """Best possible aggregate read bandwidth: per server the min of
         SSD aggregate read and NIC TX (paper: 6.25 GiB/s/server), further
         capped by total client NIC RX."""
-        server_side = sum(
+        server_side = left_sum(
             min(s.spec.nvme_read_bw, s.spec.nic_bw) for s in self.servers
         )
-        client_side = sum(c.spec.nic_bw for c in self.clients)
+        client_side = left_sum(c.spec.nic_bw for c in self.clients)
         return min(server_side, client_side) if self.clients else server_side
 
     def add_server(self, spec: Optional[ServerSpec] = None) -> ServerNode:

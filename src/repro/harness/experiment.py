@@ -37,7 +37,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultController, parse_fault_plan
 from repro.hardware.cluster import Cluster
 from repro.sim.stats import PhaseRecorder, mean_std
-from repro.units import MiB
+from repro.units import MiB, left_sum
 from repro.workloads.common import CephEnv, DaosEnv, LustreEnv, WorkloadConfig
 from repro.workloads.fdb_hammer import run_fdb_hammer
 from repro.workloads.fieldio import run_fieldio
@@ -340,7 +340,7 @@ def _aggregate_windows(runs: list) -> Tuple[Tuple[float, float, float], ...]:
     n_windows = min(len(profile) for profile in runs)
     out = []
     for w in range(n_windows):
-        t_mean = sum(profile[w][0] for profile in runs) / len(runs)
+        t_mean = left_sum(profile[w][0] for profile in runs) / len(runs)
         bw_mean, bw_std = mean_std([profile[w][1] for profile in runs])
         out.append((t_mean, bw_mean, bw_std))
     return tuple(out)

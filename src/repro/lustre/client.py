@@ -13,7 +13,7 @@ from repro.lustre.mds import Inode
 from repro.lustre.ost import Ost
 from repro.obs.ledger import NULL_CONTEXT
 from repro.sim.flownet import Link
-from repro.units import Bytes, zeros
+from repro.units import Bytes, left_sum, zeros
 
 __all__ = ["LustreClient", "LustreFile"]
 
@@ -97,7 +97,7 @@ class LustreClient(StoreClient):
         unobserved op adds no generator level of its own."""
         if self._obs is None:
             return self._stripe_flow(kind, per_ost, name, extra_loads, demand_cap, op_ctx)
-        nbytes = float(sum(per_ost.values()))
+        nbytes = left_sum(per_ost.values())
         op = name[len("lustre-"):] if name.startswith("lustre-") else name
         return self._observed(
             kind, nbytes, op, {"bytes": nbytes}, self._stripe_flow,
@@ -117,7 +117,7 @@ class LustreClient(StoreClient):
         caches decouple writes from the device; reads hit the specific
         OST device), plus ``extra_loads``.  A batch that moves no bytes
         is sized by its extra (MDS) load alone."""
-        total = float(sum(per_ost.values()))
+        total = left_sum(per_ost.values())
         if total > 0:
             for ost in per_ost:
                 if not ost.alive:
@@ -127,7 +127,7 @@ class LustreClient(StoreClient):
                 loads[link] = loads.get(link, 0.0) + amount
         else:
             loads = extra_loads or {}
-            total = float(sum(loads.values()))
+            total = left_sum(loads.values())
         usages = [(link, load / total) for link, load in loads.items()] if total > 0 else []
         return self._flow(total, usages, name, demand_cap, op_ctx)
 

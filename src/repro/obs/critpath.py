@@ -38,6 +38,8 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.units import left_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
@@ -180,7 +182,7 @@ def _scaled_shares(binding: Dict[str, float], total: float) -> Dict[str, float]:
     for key, secs in binding.items():
         cls = classify_constraint(key)
         by_class[cls] = by_class.get(cls, 0.0) + secs
-    weight = sum(by_class.values())
+    weight = left_sum(by_class.values())
     if weight <= 0:
         return {UNATTRIBUTED: total} if total > 0 else {}
     return {cls: total * secs / weight for cls, secs in by_class.items()}
@@ -220,7 +222,7 @@ def analyze_critical_path(obs: "Observability") -> List[RunCriticalPath]:
                 if s.cat in _OP_CATS and s.tid == straggler.tid
                 and _overlap(s.start, s.end, start, end) > 0
             ]
-            covered = sum(e - s for s, e in _merged_intervals(ops))
+            covered = left_sum(e - s for s, e in _merged_intervals(ops))
             covered = min(covered, end - start)
             shares = _scaled_shares(_window_binding(flow_spans, start, end), covered)
             serial = (end - start) - covered
@@ -285,7 +287,7 @@ def render_critical_path(obs: "Observability", top: int = 6, per_run: bool = Fal
     if not runs:
         return ""
     lines: List[str] = []
-    total_elapsed = sum(r.elapsed for r in runs)
+    total_elapsed = left_sum(r.elapsed for r in runs)
     lines.append(
         f"critical-path attribution ({len(runs)} run(s), "
         f"{total_elapsed:.3f}s simulated):"

@@ -59,6 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.obs.critpath import classify_constraint
 from repro.obs.metrics import LatencyHistogram
+from repro.units import left_sum
 
 __all__ = [
     "NULL_CONTEXT",
@@ -162,7 +163,7 @@ class OpContext:
             if seg <= 0.0:
                 return
         bound = getattr(flow, "bound_time", None)
-        total = sum(bound.values()) if bound else 0.0
+        total = left_sum(bound.values()) if bound else 0.0
         if total <= 0.0:
             self.add(f"{prefix}:unattributed", seg)
             return

@@ -26,6 +26,7 @@ import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.metrics import Counter, LatencyHistogram
+from repro.units import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -197,7 +198,7 @@ def render_waterfall(
     if not components:
         lines.append(f"{indent}    (instantaneous: no components)")
     else:
-        total = sum(dt for _, dt in components)
+        total = left_sum(dt for _, dt in components)
         lines.append(
             f"{indent}    {_fmt_t(total):>12}  100.0%  = recorded latency "
             f"(components sum exactly)"

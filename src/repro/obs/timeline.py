@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import IO, Dict, List, Optional, Sequence, Union
 
+from repro.units import left_sum
+
 __all__ = [
     "TimelineConfig",
     "Timeline",
@@ -105,7 +107,7 @@ class Timeline:
 
     def mean(self, name: str) -> float:
         col = self.column(name)
-        return sum(col) / len(col) if col else 0.0
+        return left_sum(col) / len(col) if col else 0.0
 
     def to_json_obj(self) -> Dict:
         return {
@@ -298,7 +300,7 @@ def sparkline(values: Sequence[float], width: int = 48,
             a = i * n // width
             b = max(a + 1, (i + 1) * n // width)
             chunk = values[a:b]
-            buckets.append(sum(chunk) / len(chunk))
+            buckets.append(left_sum(chunk) / len(chunk))
         values = buckets
     top = hi if hi is not None else max(values)
     span = top - lo
@@ -332,6 +334,6 @@ def render_timeline(timeline: Timeline, top: int = 4, width: int = 48) -> str:
     if flows:
         lines.append(
             f"  {sparkline(flows, width)}  {'in-flight flows':<18} "
-            f"mean {sum(flows) / len(flows):5.1f}  peak {max(flows):5.0f}"
+            f"mean {left_sum(flows) / len(flows):5.1f}  peak {max(flows):5.0f}"
         )
     return "\n".join(lines)

@@ -26,34 +26,39 @@ saturates (or a flow hits its demand cap); flows on saturated links
 freeze; repeat.  This is the standard fluid approximation for congestion
 controlled transports sharing a network.
 
-Incidence layout (docs/PERFORMANCE.md)
---------------------------------------
-The flow-link incidence is *persistent*: per-flow edge runs live as
-contiguous slices of two preallocated arrays (``_e_lidx``/``_e_wgt``, in
-active-flow order), appended on arrival and compacted with one mask on
-departure, so a recompute never rebuilds Python lists.  Reallocation is
-*dirty-set gated*: each arrival, departure, or capacity change marks its
-links dirty, and a recompute whose dirty links carry no edges (tracked
-by a per-link reference count) is resolved in O(|dirty|) without
-touching a single flow — current rates are already the solve's fixed
-point.  When a solve *is* needed it refills the full active set: the
-progressive filling applies one global increment to every unfrozen flow,
-so a flow's rate is a partial sum whose breakpoints include other
+State layout (docs/PERFORMANCE.md §1)
+-------------------------------------
+Per-flow state (remaining work, rate, demand cap, size) lives in Python
+lists, one row per active flow in arrival order; a departure deletes its
+row and the later rows move up.  The flow-link incidence is *persistent*
+and takes one of two forms, chosen by the population's edge count (the
+*band*; ``_SCALAR_MAX_EDGES``, 128):
+
+* small band (at most 128 edges): a link-major incidence in Python —
+  for every link that carries a flow, its member flows and their
+  weights in row order, plus their weight fold ``0.0 + w1 + w2 ...``.
+  An arrival appends to its links' member lists and adds its weight to
+  their folds; a departure deletes itself in place and its links are
+  re-folded from the remaining members (never by subtracting the
+  departed weight).  The scalar solver reads this incidence directly.
+* wide band (more than 128 edges): NumPy CSR arrays — per-flow edge
+  runs concatenated in row order (``_e_lidx``/``_e_wgt``), a per-link
+  edge count (``_l_refs``) and the edge-to-row map (``_fidx``) — read by
+  the vectorised solver (one ``bincount`` per filling round).
+
+A population that crosses the bound converts its incidence from the
+flows' own link and weight lists, which keeps row order and therefore
+every sum.  Reallocation is *dirty-set gated*: each arrival, departure,
+or capacity change marks its links dirty, and a recompute whose dirty
+links carry no member flow is resolved in O(|dirty|) without touching a
+single flow.  When a solve *is* needed it refills the full active set:
+the progressive filling applies one global increment to every unfrozen
+flow, so a flow's rate is a partial sum whose breakpoints include other
 components' freeze events, and a per-component re-solve would round
 differently (~1 ulp) — the byte-identical series contract forbids that.
-Two arithmetically identical solver bodies are kept: a vectorised one
-(NumPy bincount over the incidence, one filling pass is O(nnz)) for
-solves over more than 128 edges and a scalar one for up to 128 edges,
-whatever the flow count, where interpreter loops beat ufunc dispatch
-overhead (docs/PERFORMANCE.md §1 has the measured crossover).  The
-scalar one runs on dense local link ids (the solve's links renumbered
-0..L-1) with per-flow edge runs and per-link flow lists.  With at most
-16 flows the per-event bodies work on Python floats read once with
-``tolist()``, and departures (with at most 128 edges too) compact the
-arrays with one slice copy per run of surviving rows.
 Both solvers execute the same IEEE-754 operation sequence, so which one
 runs never changes a single bit of any rate (guarded by
-tests/test_flownet.py).
+tests/test_flownet.py and tests/test_property_flownet.py).
 
 Event integration
 -----------------
@@ -71,12 +76,14 @@ remaining)`` on each of its links) instead of at every event; see
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.core import EventHandle, Signal, Simulator, Waitable
+from repro.units import left_sum
 
 __all__ = ["Link", "Flow", "FlowNetwork"]
 
@@ -86,9 +93,9 @@ _INF = math.inf
 class Link:
     """A shared capacity (bytes/s or ops/s) inside the flow network.
 
-    Capacity is a view into the owning network's link arrays (the
-    vectorised hot paths read and write them directly); change it
-    through :meth:`FlowNetwork.set_capacity`.
+    Capacity is read-only here; change it through
+    :meth:`FlowNetwork.set_capacity`, which settles progress and
+    re-solves the allocation.
     """
 
     __slots__ = ("name", "index", "_net")
@@ -100,13 +107,7 @@ class Link:
 
     @property
     def capacity(self) -> float:
-        return float(self._net._l_cap[self.index])
-
-    @capacity.setter
-    def capacity(self, value: float) -> None:
-        if value <= 0:
-            raise SimulationError(f"capacity must stay positive, got {value}")
-        self._net._l_cap[self.index] = float(value)
+        return self._net._l_cap[self.index]
 
     @property
     def busy_integral(self) -> float:
@@ -127,8 +128,8 @@ class Link:
 class Flow:
     """One in-flight transfer; yield ``flow.done`` to await completion.
 
-    While active, ``remaining`` and ``rate`` live in the network's flow
-    arrays (row ``_row``); on completion or cancellation the final values
+    While active, ``remaining`` and ``rate`` live in the network's row
+    lists (row ``_row``); on completion or cancellation the final values
     are written back to the object, the flow's progress is settled into
     its links' busy integrals, and the row is released.
     """
@@ -137,8 +138,8 @@ class Flow:
         "name",
         "size",
         "links",
-        "weights",
-        "_lidx",
+        "_ids",
+        "_wl",
         "demand_cap",
         "done",
         "started_at",
@@ -156,8 +157,8 @@ class Flow:
         name: str,
         size: float,
         links: list[Link],
-        weights: np.ndarray,
-        lidx: np.ndarray,
+        ids: list[int],
+        weights: list[float],
         demand_cap: float,
         done: Signal,
         started_at: float,
@@ -165,9 +166,9 @@ class Flow:
         self.name = name
         self.size = float(size)
         self.links = links
-        self.weights = weights
-        #: ``links``' indices (unique), for fancy-indexed link updates
-        self._lidx = lidx
+        #: ``links``' indices (unique) and weights, in ``links`` order
+        self._ids = ids
+        self._wl = weights
         self.demand_cap = float(demand_cap)
         self.done = done
         self.started_at = started_at
@@ -180,18 +181,23 @@ class Flow:
         #: constraint name -> seconds the flow spent limited by it
         #: (allocated lazily when the network tracks binding)
         self.bound_time: Optional[dict] = None
-        # detached state (array-backed while the network holds a row)
+        # detached state (row-backed while the network holds a row)
         self._net: Optional["FlowNetwork"] = None
         self._row = -1
         self._remaining_f = float(size)
         self._rate_f = 0.0
 
     @property
+    def weights(self) -> np.ndarray:
+        """Per-link weights, in ``links`` order."""
+        return np.array(self._wl, dtype=float)
+
+    @property
     def remaining(self) -> float:
         net = self._net
         if net is None:
             return self._remaining_f
-        return float(net._f_rem[self._row])
+        return net._f_rem[self._row]
 
     @remaining.setter
     def remaining(self, value: float) -> None:
@@ -199,14 +205,14 @@ class Flow:
         if net is None:
             self._remaining_f = float(value)
         else:
-            net._f_rem[self._row] = value
+            net._f_rem[self._row] = float(value)
 
     @property
     def rate(self) -> float:
         net = self._net
         if net is None:
             return self._rate_f
-        return float(net._f_rate[self._row])
+        return net._f_rate[self._row]
 
     @rate.setter
     def rate(self, value: float) -> None:
@@ -214,21 +220,21 @@ class Flow:
         if net is None:
             self._rate_f = float(value)
         else:
-            net._f_rate[self._row] = value
+            net._f_rate[self._row] = float(value)
 
     def _detach(self) -> None:
-        """Capture array state into the object, settle the progress made
+        """Capture row state into the object, settle the progress made
         into the links' busy integrals, and release the row."""
         net = self._net
         if net is not None:
             row = self._row
-            rem = float(net._f_rem[row])
+            rem = net._f_rem[row]
             self._remaining_f = rem
-            self._rate_f = float(net._f_rate[row])
-            if self.links:
-                # links are unique after transfer()'s duplicate merge, so
-                # one fancy-index add settles every link
-                net._l_busy[self._lidx] += self.weights * (self.size - rem)
+            self._rate_f = net._f_rate[row]
+            done = self.size - rem
+            busy = net._l_busy
+            for i, w in zip(self._ids, self._wl):
+                busy[i] += w * done
             self._net = None
             self._row = -1
 
@@ -245,12 +251,10 @@ class Flow:
 class FlowNetwork:
     """Container for links plus the active-flow allocation machinery."""
 
-    #: population bounds below which the scalar paths run (same
-    #: arithmetic, lower constant); above them NumPy wins.  The solver
-    #: is chosen by edge count alone, the per-event bodies (sync,
-    #: completion scheduling and batching) by flow count, row removal
-    #: by both
-    _SCALAR_MAX_FLOWS = 16
+    #: the band bound: populations with at most this many edges keep the
+    #: link-major Python incidence and run the scalar solver; above it
+    #: the NumPy CSR incidence and the vectorised solver take over (same
+    #: arithmetic, lower constant on each side; docs/PERFORMANCE.md §1)
     _SCALAR_MAX_EDGES = 128
 
     def __init__(self, sim: Simulator, time_epsilon: float = 1e-9):
@@ -276,25 +280,28 @@ class FlowNetwork:
         #: event ordering, or modelled bandwidths.  Enabled by
         #: ``repro.obs`` for critical-path attribution.
         self.track_binding = False
-        # link arrays (index == Link.index); _l_busy holds the busy
-        # integrals settled by departed flows; _l_refs counts incident
-        # edges of active flows, which makes the dirty-set skip test O(1)
-        # per dirty link
-        self._l_cap = np.empty(16, dtype=float)
-        self._l_busy = np.zeros(16, dtype=float)
-        self._l_refs = np.zeros(16, dtype=np.intp)
-        # per-flow state arrays, rows in ``_active`` order
-        self._nf = 0
-        self._f_rem = np.empty(16, dtype=float)
-        self._f_rate = np.empty(16, dtype=float)
-        self._f_cap = np.empty(16, dtype=float)
-        self._f_size = np.empty(16, dtype=float)
-        self._f_ecnt = np.empty(16, dtype=np.intp)
-        # edge (incidence) arrays: per-flow runs, concatenated in
-        # ``_active`` order — the persistent CSR layout
+        # link lists (index == Link.index); _l_busy holds the busy
+        # integrals settled by departed flows; _cap_np caches _l_cap as
+        # an array for the vectorised solver
+        self._l_cap: list[float] = []
+        self._l_busy: list[float] = []
+        self._cap_np: Optional[np.ndarray] = None
+        # per-flow rows, in ``_active`` order
+        self._f_rem: list[float] = []
+        self._f_rate: list[float] = []
+        self._f_cap: list[float] = []
+        self._f_size: list[float] = []
+        #: total edges of the active flows; the band is ne > bound
         self._ne = 0
-        self._e_lidx = np.empty(64, dtype=np.intp)
-        self._e_wgt = np.empty(64, dtype=float)
+        self._wide = False
+        # small band: link index -> (member flows, their weights), in
+        # row order, and link index -> weight fold of the members
+        self._inc: dict[int, tuple[list[Flow], list[float]]] = {}
+        self._fold: dict[int, float] = {}
+        # wide band: the CSR incidence (see _to_wide)
+        self._e_lidx: Optional[np.ndarray] = None
+        self._e_wgt: Optional[np.ndarray] = None
+        self._l_refs: Optional[np.ndarray] = None
         self._fidx_cache: Optional[np.ndarray] = None
         #: link indices whose member set or capacity changed since the
         #: last solve; gates reallocation
@@ -311,13 +318,11 @@ class FlowNetwork:
         if capacity <= 0:
             raise SimulationError(f"link {name!r} needs positive capacity, got {capacity}")
         index = len(self._links)
-        if index >= self._l_cap.size:
-            self._l_cap = self._grow(self._l_cap, index)
-            self._l_busy = self._grow_zero(self._l_busy, index)
-            self._l_refs = self._grow_zero(self._l_refs, index)
-        self._l_cap[index] = float(capacity)
-        self._l_busy[index] = 0.0
-        self._l_refs[index] = 0
+        self._l_cap.append(float(capacity))
+        self._l_busy.append(0.0)
+        self._cap_np = None
+        if self._wide:
+            self._l_refs = np.append(self._l_refs, 0)
         link = Link(name, index, self)
         self._links[name] = link
         return link
@@ -339,29 +344,25 @@ class FlowNetwork:
     def busy_integrals(self) -> np.ndarray:
         """Every link's busy integral (consumed units x seconds), indexed
         by ``Link.index``, as of the last sync: what departed flows
-        settled plus each active flow's ``weight * (size - remaining)``.
-        One bincount over the active edges, so O(links + edges)."""
-        nlinks = len(self._links)
-        busy = self._l_busy[:nlinks].copy()
-        ne = self._ne
-        if ne:
-            n = self._nf
-            done = self._f_size[:n] - self._f_rem[:n]
-            busy += np.bincount(
-                self._e_lidx[:ne],
-                weights=self._e_wgt[:ne] * done[self._fidx()],
-                minlength=nlinks,
-            )
-        return busy
+        settled plus each active flow's ``weight * (size - remaining)``,
+        summed per link in row order.  O(links + edges)."""
+        acc = [0.0] * len(self._l_busy)
+        for flow, size, rem in zip(self._active, self._f_size, self._f_rem):
+            done = size - rem
+            for i, w in zip(flow._ids, flow._wl):
+                acc[i] += w * done
+        return np.array([b + a for b, a in zip(self._l_busy, acc)], dtype=float)
 
     def set_capacity(self, name: str, capacity: float) -> None:
-        """Change a link's capacity (failure injection / degraded mode)."""
+        """Change a link's capacity (failure injection / degraded mode);
+        the one way to change it on a live network."""
         if capacity <= 0:
             raise SimulationError(f"capacity must stay positive, got {capacity}")
         self._sync()
-        link = self.link(name)
-        link.capacity = float(capacity)
-        self._dirty_links.add(link.index)
+        index = self.link(name).index
+        self._l_cap[index] = float(capacity)
+        self._cap_np = None
+        self._dirty_links.add(index)
         self._reallocate()
         self._schedule_completion()
 
@@ -417,16 +418,16 @@ class FlowNetwork:
                 link_by_index[link.index] = link
             links = [link_by_index[i] for i in merged]
             index_list = list(merged)
-            weights = np.array([merged[i] for i in index_list], dtype=float)
-        else:
-            weights = np.array(weight_list, dtype=float)
+            weight_list = [merged[i] for i in index_list]
         if not links and not math.isfinite(demand_cap):
             raise SimulationError(
                 f"flow {name!r} has no links and no demand cap: rate would be infinite"
             )
         done = self.sim.signal(name=f"{name}.done")
-        lidx = np.array(index_list, dtype=np.intp)
-        flow = Flow(name, size, links, weights, lidx, demand_cap, done, started_at=self.sim.now)
+        flow = Flow(
+            name, size, links, index_list, weight_list, demand_cap, done,
+            started_at=self.sim.now,
+        )
         if self.track_binding:
             flow.bound_time = {}
         if size == 0:
@@ -463,146 +464,170 @@ class FlowNetwork:
         self._sync()
         row = flow._row
         flow._detach()
-        self._active.pop(row)
         self._remove_rows([row])
         flow.rate = 0.0
         flow.done.fail(SimulationError(f"flow {flow.name!r} cancelled"))
         self._reallocate()
         self._schedule_completion()
 
-    # -- array plumbing ----------------------------------------------------
+    # -- rows and incidence --------------------------------------------------
+    def _append(self, flow: Flow) -> None:
+        """Give ``flow`` the next row and add it to the incidence."""
+        flow._net = self
+        flow._row = len(self._active)
+        self._active.append(flow)
+        self._f_rem.append(flow._remaining_f)
+        self._f_rate.append(0.0)
+        self._f_cap.append(flow.demand_cap)
+        self._f_size.append(flow.size)
+        ids = flow._ids
+        k = len(ids)
+        if k:
+            self._dirty_links.update(ids)
+        else:
+            self._dirty_flows.add(flow)
+        ne = self._ne + k
+        self._ne = ne
+        if ne <= self._SCALAR_MAX_EDGES:
+            self._link_in(flow)
+        elif not self._wide:
+            self._to_wide()
+        else:
+            if k:
+                e = ne - k
+                if ne > self._e_lidx.size:
+                    self._e_lidx = self._grow(self._e_lidx, ne)
+                    self._e_wgt = self._grow(self._e_wgt, ne)
+                self._e_lidx[e:ne] = ids
+                self._e_wgt[e:ne] = flow._wl
+                # links are unique after transfer()'s duplicate merge, so
+                # a fancy-index increment is a correct refcount update
+                self._l_refs[ids] += 1
+            self._fidx_cache = None
+
+    def _link_in(self, flow: Flow) -> None:
+        """Append ``flow`` to its links' member lists and folds."""
+        inc = self._inc
+        fold = self._fold
+        for i, w in zip(flow._ids, flow._wl):
+            members = inc.get(i)
+            if members is None:
+                inc[i] = ([flow], [w])
+                fold[i] = 0.0 + w
+            else:
+                members[0].append(flow)
+                members[1].append(w)
+                fold[i] += w
+
+    def _remove_rows(self, rows: Sequence[int]) -> None:
+        """Drop the (already detached) flows at ascending ``rows``.
+
+        Survivors keep their relative order and are renumbered, so row
+        order stays arrival order — which is what keeps every per-link
+        accumulation identical to a from-scratch rebuild.
+        """
+        active = self._active
+        gone = [active[r] for r in rows]
+        ne = self._ne
+        for flow in gone:
+            ne -= len(flow._ids)
+        dirty = self._dirty_links
+        if not self._wide:
+            inc = self._inc
+            touched = set()
+            for flow in gone:
+                for i in flow._ids:
+                    flows, wgts = inc[i]
+                    k = flows.index(flow)
+                    del flows[k]
+                    del wgts[k]
+                    touched.add(i)
+            dirty.update(touched)
+            fold = self._fold
+            for i in touched:
+                wgts = inc[i][1]
+                if wgts:
+                    fold[i] = left_sum(wgts)
+                else:
+                    del inc[i]
+                    del fold[i]
+        elif ne > self._SCALAR_MAX_EDGES:
+            keep = np.ones(len(active), dtype=bool)
+            keep[rows] = False
+            edge_keep = keep[self._fidx()]
+            old = self._ne
+            lidx = self._e_lidx
+            dropped = lidx[:old][~edge_keep]
+            if dropped.size:
+                drop_idx, drop_cnt = np.unique(dropped, return_counts=True)
+                self._l_refs[drop_idx] -= drop_cnt
+                dirty.update(drop_idx.tolist())
+            lidx[:ne] = lidx[:old][edge_keep]
+            self._e_wgt[:ne] = self._e_wgt[:old][edge_keep]
+            self._fidx_cache = None
+        else:
+            for flow in gone:
+                dirty.update(flow._ids)
+        for r in reversed(rows):
+            del active[r]
+            del self._f_rem[r]
+            del self._f_rate[r]
+            del self._f_cap[r]
+            del self._f_size[r]
+        self._ne = ne
+        for i in range(rows[0], len(active)):
+            active[i]._row = i
+        if self._wide and ne <= self._SCALAR_MAX_EDGES:
+            self._to_small()
+
+    def _to_small(self) -> None:
+        """Enter the small band: build the link-major incidence from the
+        flows' own lists in row order and drop the CSR arrays."""
+        self._wide = False
+        self._e_lidx = self._e_wgt = self._l_refs = self._fidx_cache = None
+        self._inc = {}
+        self._fold = {}
+        for flow in self._active:
+            self._link_in(flow)
+
+    def _to_wide(self) -> None:
+        """Enter the wide band: build the CSR incidence from the flows'
+        own lists in row order and drop the link-major one."""
+        self._wide = True
+        self._inc = {}
+        self._fold = {}
+        active = self._active
+        self._e_lidx = np.fromiter(
+            chain.from_iterable(f._ids for f in active), dtype=np.intp, count=self._ne
+        )
+        self._e_wgt = np.fromiter(
+            chain.from_iterable(f._wl for f in active), dtype=float, count=self._ne
+        )
+        self._l_refs = np.bincount(self._e_lidx, minlength=len(self._l_cap))
+        self._fidx_cache = None
+
     @staticmethod
     def _grow(arr: np.ndarray, needed: int) -> np.ndarray:
         new = np.empty(max(needed + 1, arr.size * 2), dtype=arr.dtype)
         new[: arr.size] = arr
         return new
 
-    @staticmethod
-    def _grow_zero(arr: np.ndarray, needed: int) -> np.ndarray:
-        new = np.zeros(max(needed + 1, arr.size * 2), dtype=arr.dtype)
-        new[: arr.size] = arr
-        return new
-
-    def _append(self, flow: Flow) -> None:
-        """Give ``flow`` the next row and append its edge run."""
-        row = self._nf
-        if row >= self._f_rem.size:
-            for attr in ("_f_rem", "_f_rate", "_f_cap", "_f_size", "_f_ecnt"):
-                setattr(self, attr, self._grow(getattr(self, attr), row))
-        k = len(flow.links)
-        ne = self._ne
-        if ne + k > self._e_lidx.size:
-            self._e_lidx = self._grow(self._e_lidx, ne + k)
-            self._e_wgt = self._grow(self._e_wgt, ne + k)
-        if k:
-            idx = flow._lidx
-            self._e_lidx[ne : ne + k] = idx
-            self._e_wgt[ne : ne + k] = flow.weights
-            ids = idx.tolist()
-            self._dirty_links.update(ids)
-            refs = self._l_refs
-            if k > 8:
-                # links are unique after transfer()'s duplicate merge, so a
-                # fancy-index increment is a correct refcount update
-                refs[idx] += 1
-            else:
-                for i in ids:
-                    refs[i] += 1
-        else:
-            self._dirty_flows.add(flow)
-        self._f_rem[row] = flow.remaining
-        self._f_rate[row] = 0.0
-        self._f_cap[row] = flow.demand_cap
-        self._f_size[row] = flow.size
-        self._f_ecnt[row] = k
-        flow._net = self
-        flow._row = row
-        self._active.append(flow)
-        self._nf = row + 1
-        self._ne = ne + k
-        self._fidx_cache = None
-
-    def _remove_rows(self, rows: Sequence[int]) -> None:
-        """Compact the flow and edge arrays after removing ``rows``.
-
-        ``self._active`` must already reflect the removal; surviving
-        flows are renumbered so row order stays ``_active`` order (which
-        is what keeps the incidence enumeration — and therefore every
-        bincount accumulation — identical to a from-scratch rebuild).
-        """
-        n = self._nf
-        ne = self._ne
-        dirty = self._dirty_links
-        refs = self._l_refs
-        ecnt = self._f_ecnt
-        lidx = self._e_lidx
-        first = min(rows)
-        if n <= self._SCALAR_MAX_FLOWS and ne <= self._SCALAR_MAX_EDGES:
-            # rows and edges before ``first`` stay put; each later run
-            # of kept rows moves down with one slice copy per array
-            rowset = set(rows)
-            counts = ecnt[:n].tolist()
-            wgt = self._e_wgt
-            row_arrays = (self._f_rem, self._f_rate, self._f_cap, self._f_size, ecnt)
-            src_e = dst_e = sum(counts[:first])
-            dst = first
-            i = first
-            while i < n:
-                k = counts[i]
-                if i in rowset:
-                    for li in lidx[src_e : src_e + k].tolist():
-                        refs[li] -= 1
-                        dirty.add(li)
-                    src_e += k
-                    i += 1
-                    continue
-                j = i + 1
-                while j < n and j not in rowset:
-                    k += counts[j]
-                    j += 1
-                if dst != i:
-                    for arr in row_arrays:
-                        arr[dst : dst + j - i] = arr[i:j]
-                    lidx[dst_e : dst_e + k] = lidx[src_e : src_e + k]
-                    wgt[dst_e : dst_e + k] = wgt[src_e : src_e + k]
-                dst += j - i
-                dst_e += k
-                src_e += k
-                i = j
-            new_n = dst
-            new_ne = dst_e
-        else:
-            keep = np.ones(n, dtype=bool)
-            keep[list(rows)] = False
-            edge_keep = np.repeat(keep, ecnt[:n])
-            dropped = lidx[:ne][~edge_keep]
-            if dropped.size:
-                drop_idx, drop_cnt = np.unique(dropped, return_counts=True)
-                refs[drop_idx] -= drop_cnt
-                dirty.update(drop_idx.tolist())
-            new_ne = int(edge_keep.sum())
-            if new_ne != ne:
-                lidx[:new_ne] = lidx[:ne][edge_keep]
-                self._e_wgt[:new_ne] = self._e_wgt[:ne][edge_keep]
-            new_n = int(keep.sum())
-            for attr in ("_f_rem", "_f_rate", "_f_cap", "_f_size", "_f_ecnt"):
-                arr = getattr(self, attr)
-                arr[:new_n] = arr[:n][keep]
-        self._ne = new_ne
-        self._nf = new_n
-        self._fidx_cache = None
-        active = self._active
-        for i in range(first, new_n):
-            active[i]._row = i
-
     def _fidx(self) -> np.ndarray:
-        """Edge-to-flow index (CSR row expansion), cached until the
-        membership changes."""
+        """Edge-to-row index (CSR row expansion) of the wide band, cached
+        until the membership changes."""
         cache = self._fidx_cache
         if cache is None:
-            n = self._nf
-            cache = np.repeat(np.arange(n, dtype=np.intp), self._f_ecnt[:n])
+            active = self._active
+            cache = np.repeat(
+                np.arange(len(active), dtype=np.intp), [len(f._ids) for f in active]
+            )
             self._fidx_cache = cache
+        return cache
+
+    def _cap_array(self) -> np.ndarray:
+        cache = self._cap_np
+        if cache is None:
+            cache = self._cap_np = np.array(self._l_cap, dtype=float)
         return cache
 
     # -- internals -------------------------------------------------------------
@@ -610,17 +635,12 @@ class FlowNetwork:
         """Advance every active flow's progress to the current time."""
         now = self.sim.now
         dt = now - self._last_advance
-        n = self._nf
-        if dt > 0 and n:
-            if n <= self._SCALAR_MAX_FLOWS:
-                rem = self._f_rem[:n].tolist()
-                for i, r in enumerate(self._f_rate[:n].tolist()):
-                    if r != 0.0:  # exact: a zero rate leaves remaining untouched
-                        v = rem[i] - r * dt
-                        rem[i] = v if v > 0.0 else 0.0
-                self._f_rem[:n] = rem
-            else:
-                self._f_rem[:n] = np.maximum(0.0, self._f_rem[:n] - self._f_rate[:n] * dt)
+        if dt > 0 and self._active:
+            rem = self._f_rem
+            for i, r in enumerate(self._f_rate):
+                if r != 0.0:  # exact: a zero rate leaves remaining untouched
+                    v = rem[i] - r * dt
+                    rem[i] = v if v > 0.0 else 0.0
             if self.track_binding:
                 for flow in self._active:
                     if flow.bound_time is not None:
@@ -634,11 +654,10 @@ class FlowNetwork:
         """Weighted max-min progressive filling, gated by the dirty set.
 
         Links marked dirty (membership or capacity change) are checked
-        against the per-link edge refcount; if none carries an edge of
-        an active flow (and no linkless flow arrived), no rate can
-        change and the call resolves in O(|dirty|) — the stored rates
-        are already the solve's fixed point.  Otherwise the full active
-        set is re-filled (see the module docstring for why a
+        for member flows; if none has one (and no linkless flow
+        arrived), no rate can change and the call resolves in
+        O(|dirty|) — the stored rates are kept.  Otherwise the full
+        active set is re-filled (see the module docstring for why a
         component-scoped refill would break bitwise reproducibility).
         """
         self.reallocations += 1
@@ -646,7 +665,7 @@ class FlowNetwork:
         # (inside obs/profile.py), never influences the allocation
         profile = self.sim.profile
         token = profile.recompute_begin() if profile is not None else 0.0
-        n = self._nf
+        n = len(self._active)
         nlinks = len(self._links)
         dirty = self._dirty_links
         affected = False
@@ -655,23 +674,26 @@ class FlowNetwork:
             self._dirty_flows.clear()
         if dirty:
             if n and not affected:
-                refs = self._l_refs
-                for i in dirty:
-                    if i < nlinks and refs[i]:
-                        affected = True
-                        break
+                if self._wide:
+                    refs = self._l_refs
+                    affected = any(refs[i] > 0 for i in dirty)
+                else:
+                    affected = not dirty.isdisjoint(self._inc)
             dirty.clear()
         if not affected:
             if profile is not None:
                 profile.recompute_end(token, 0, 0, nlinks, 0)
             return
         ne = self._ne
-        if ne <= self._SCALAR_MAX_EDGES:
-            self._solve_scalar(n, nlinks, ne)
-        else:
+        if self._wide:
             self._solve_vector(n, nlinks, ne)
+        else:
+            self._solve_scalar(n, nlinks, ne)
         if profile is not None:
-            touched = int((self._l_refs[:nlinks] > 0).sum())
+            if self._wide:
+                touched = int((self._l_refs[:nlinks] > 0).sum())
+            else:
+                touched = len(self._inc)
             profile.recompute_end(token, n, touched, nlinks, ne)
 
     def _solve_vector(self, n: int, nlinks: int, ne: int) -> None:
@@ -679,8 +701,8 @@ class FlowNetwork:
         lidx = self._e_lidx[:ne]
         wgt = self._e_wgt[:ne]
         fidx = self._fidx()
-        caps = self._f_cap[:n]
-        cap_left = self._l_cap[:nlinks].copy()
+        caps = np.array(self._f_cap, dtype=float)
+        cap_left = self._cap_array().copy()
         rate = np.zeros(n, dtype=float)
         unfrozen = np.ones(n, dtype=bool)
         # Progressive filling; bounded by number of links + flows + 1
@@ -741,84 +763,54 @@ class FlowNetwork:
                         "(pathological capacity/cap values?)"
                     )
             unfrozen &= ~newly
-        self._f_rate[:n] = rate
+        self._f_rate = rate.tolist()
         if self.track_binding:
             self._assign_bindings(rate, cap_left)
 
     def _solve_scalar(self, n: int, nlinks: int, ne: int) -> None:
-        """Scalar progressive filling for small populations.
+        """Scalar progressive filling over the small band's incidence.
 
         Executes the exact IEEE-754 operation sequence of
-        :meth:`_solve_vector` — per-link weight sums accumulate in edge
-        order (bincount order), reductions take the same elements — so
-        the two are bitwise interchangeable; only the constant factor
-        differs.  The solve's links are renumbered 0..L-1 in
-        first-appearance order; each flow keeps its run of
-        ``(local link, weight)`` pairs and each link its flow list, so
-        a round sums only unfrozen flows' runs and freezes through the
-        saturated links' flow lists.  Every unfrozen flow has grown by
-        the same increments since the first round, so their common rate
-        is one running ``level``, and only flows with a finite demand
-        cap can bound a round or freeze at their cap (an infinite cap's
-        slack is infinite), so the cap scans visit just those.
+        :meth:`_solve_vector`: a link's weight sum is the fold of its
+        unfrozen members' weights in row order (bincount order), and
+        reductions take the same elements, so the two are bitwise
+        interchangeable; only the constant factor differs.  The first
+        round's sums are the stored folds (every flow is unfrozen); after
+        a round only the links of newly frozen flows are re-folded, as no
+        other link lost a member.  Every unfrozen flow has grown by the
+        same increments since the first round, so their common rate is
+        one running ``level``, and only flows with a finite demand cap
+        can bound a round or freeze at their cap (an infinite cap's slack
+        is infinite), so the cap scans visit just those.
         """
-        lidx = self._e_lidx[:ne].tolist()
-        wgt = self._e_wgt[:ne].tolist()
-        counts = self._f_ecnt[:n].tolist()
-        caps = self._f_cap[:n].tolist()
+        inc = self._inc
+        active = self._active
+        caps = self._f_cap
         capped = [i for i, c in enumerate(caps) if c < _INF]
+        w_per_link = dict(self._fold)
         l_cap = self._l_cap
-        local: dict[int, int] = {}
-        glob: list[int] = []
-        link_flows: list[list[int]] = []
-        # first-round per-link weights: every flow is unfrozen, so this
-        # edge-order pass is exactly the round's accumulation
-        w_all: list[float] = []
-        runs: list[list[tuple[int, float]]] = []
-        e = 0
-        for i, k in enumerate(counts):
-            run = []
-            for j in range(e, e + k):
-                g = lidx[j]
-                w = wgt[j]
-                li = local.get(g)
-                if li is None:
-                    li = local[g] = len(glob)
-                    glob.append(g)
-                    link_flows.append([i])
-                    w_all.append(0.0 + w)
-                else:
-                    link_flows[li].append(i)
-                    w_all[li] += w
-                run.append((li, w))
-            runs.append(run)
-            e += k
-        nl = len(glob)
-        cap_left = [float(l_cap[g]) for g in glob]
+        cap_left = {i: l_cap[i] for i in w_per_link}
         rate = [0.0] * n
         unfrozen = [True] * n
-        live = list(range(n))
+        nlive = n
         level = 0.0
         tol = 1e-9
-        for rnd in range(nlinks + n + 1):
-            if not live:
+        for _ in range(nlinks + n + 1):
+            if not nlive:
                 break
-            if rnd:
-                w_per_link = [0.0] * nl
-                for i in live:
-                    for li, w in runs[i]:
-                        w_per_link[li] += w
-            else:
-                w_per_link = w_all
-            headroom = [_INF] * nl
+            # r_link and the binding link: the lowest global index among
+            # the minima (np.argmin over the full link range, INF where
+            # no weight, hence 0 when no link has headroom)
             r_link = _INF
-            for li in range(nl):
-                w = w_per_link[li]
+            binding = 0
+            for li, w in w_per_link.items():
                 if w > 1e-15:
                     h = cap_left[li] / w
-                    headroom[li] = h
                     if h < r_link:
                         r_link = h
+                        binding = li
+                    elif h == r_link and li < binding:
+                        binding = li
             r_cap = _INF
             for i in capped:
                 if unfrozen[i]:
@@ -830,9 +822,8 @@ class FlowNetwork:
                 raise SimulationError("max-min filling diverged (unconstrained flow)")
             dr = max(dr, 0.0)
             level += dr
-            any_new = False
-            for li in range(nl):
-                w = w_per_link[li]
+            newly = []
+            for li, w in w_per_link.items():
                 if w:
                     c = cap_left[li] - w * dr
                     if c < 0.0:
@@ -843,46 +834,52 @@ class FlowNetwork:
                         if m < 1.0:
                             m = 1.0
                         if c <= tol * m:
-                            for f in link_flows[li]:
-                                if unfrozen[f]:
-                                    unfrozen[f] = False
-                                    rate[f] = level
-                                    any_new = True
+                            for f in inc[li][0]:
+                                i = f._row
+                                if unfrozen[i]:
+                                    unfrozen[i] = False
+                                    rate[i] = level
+                                    newly.append(i)
             for i in capped:
                 if unfrozen[i] and level >= caps[i] - 1e-12:
                     unfrozen[i] = False
                     rate[i] = level
-                    any_new = True
-            if not any_new:
-                # Numerical corner: force-freeze flows on the binding
-                # link (np.argmin semantics: lowest global index of the
-                # minimum over the full link range, INF where no weight).
-                h_min = min(headroom, default=_INF)
-                if math.isfinite(h_min):
-                    # exact: comparing against the stored minimum itself
-                    binding = min(glob[li] for li in range(nl) if headroom[li] == h_min)
-                else:
-                    binding = 0
-                li = local.get(binding)
-                if li is not None:
-                    for f in link_flows[li]:
-                        if unfrozen[f]:
-                            unfrozen[f] = False
-                            rate[f] = level
-                            any_new = True
-                if not any_new:
+                    newly.append(i)
+            if not newly:
+                # Numerical corner: force-freeze flows on the binding link.
+                members = inc.get(binding)
+                if members is not None:
+                    for f in members[0]:
+                        i = f._row
+                        if unfrozen[i]:
+                            unfrozen[i] = False
+                            rate[i] = level
+                            newly.append(i)
+                if not newly:
                     raise SimulationError(
                         "max-min filling stalled with unfrozen flows "
                         f"{self._stuck_flows(unfrozen)}: no link saturates "
                         "and no demand cap is reachable within tolerance "
                         "(pathological capacity/cap values?)"
                     )
-            live = [i for i in live if unfrozen[i]]
-        for i in live:
-            rate[i] = level
-        self._f_rate[:n] = rate
+            nlive -= len(newly)
+            if nlive:
+                touched = set()
+                for i in newly:
+                    touched.update(active[i]._ids)
+                for li in touched:
+                    s = 0.0
+                    for f, w in zip(*inc[li]):
+                        if unfrozen[f._row]:
+                            s += w
+                    w_per_link[li] = s
+        if nlive:
+            for i in range(n):
+                if unfrozen[i]:
+                    rate[i] = level
+        self._f_rate = rate
         if self.track_binding:
-            self._assign_bindings(rate, dict(zip(glob, cap_left)))
+            self._assign_bindings(rate, cap_left)
 
     def _stuck_flows(self, unfrozen: Sequence[bool]) -> list[str]:
         return [f.name for f, u in zip(self._active, unfrozen) if u]
@@ -917,19 +914,11 @@ class FlowNetwork:
             self._completion_event.cancel()
             self._completion_event = None
         best = _INF
-        n = self._nf
-        if n:
-            if n <= self._SCALAR_MAX_FLOWS:
-                for r, v in zip(self._f_rate[:n].tolist(), self._f_rem[:n].tolist()):
-                    if r > 0:
-                        t = v / r
-                        if t < best:
-                            best = t
-            else:
-                rates = self._f_rate[:n]
-                pos = rates > 0
-                if pos.any():
-                    best = float((self._f_rem[:n][pos] / rates[pos]).min())
+        for r, v in zip(self._f_rate, self._f_rem):
+            if r > 0:
+                t = v / r
+                if t < best:
+                    best = t
         if math.isfinite(best):
             self._completion_event = self.sim.schedule(best, self._on_completion)
 
@@ -938,34 +927,15 @@ class FlowNetwork:
         self._sync()
         # Batch everything finishing within epsilon (plus anything whose
         # residual would finish within epsilon at its current rate).
-        n = self._nf
         eps = self.time_epsilon
-        if n <= self._SCALAR_MAX_FLOWS:
-            rows = []
-            for i, (rem, r, size) in enumerate(
-                zip(
-                    self._f_rem[:n].tolist(),
-                    self._f_rate[:n].tolist(),
-                    self._f_size[:n].tolist(),
-                )
-            ):
-                fin = rem <= 1e-9 * (size if size > 1.0 else 1.0)
-                if not fin:
-                    fin = r > 0 and rem / r <= eps
-                if fin:
-                    rows.append(i)
-            nrows = len(rows)
-        else:
-            rem_v = self._f_rem[:n]
-            rate_v = self._f_rate[:n]
-            residual = np.full(n, _INF)
-            np.divide(rem_v, rate_v, out=residual, where=rate_v > 0)
-            finished_mask = (rem_v <= 1e-9 * np.maximum(1.0, self._f_size[:n])) | (
-                residual <= eps
-            )
-            rows = np.flatnonzero(finished_mask).tolist()
-            nrows = len(rows)
-        if nrows == 0:
+        rows = []
+        for i, (rem, r, size) in enumerate(zip(self._f_rem, self._f_rate, self._f_size)):
+            fin = rem <= 1e-9 * (size if size > 1.0 else 1.0)
+            if not fin:
+                fin = r > 0 and rem / r <= eps
+            if fin:
+                rows.append(i)
+        if not rows:
             # Spurious wakeup (e.g. a rate changed between scheduling and
             # firing); just reschedule.
             self._reallocate()
@@ -973,11 +943,6 @@ class FlowNetwork:
             return
         active = self._active
         finished = [active[i] for i in rows]
-        if nrows == n:
-            self._active = []
-        else:
-            rowset = set(rows)
-            self._active = [active[i] for i in range(n) if i not in rowset]
         for flow in finished:
             flow._detach()
         self._remove_rows(rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.units import Bytes, BytesPerSec, EventsPerSec, Seconds
+from repro.units import Bytes, BytesPerSec, EventsPerSec, Seconds, left_sum
 
 __all__ = ["PhaseRecorder", "PhaseStats", "mean_std"]
 
@@ -60,7 +60,7 @@ class PhaseStats:
     def mean_latency(self) -> float:
         if not self.latencies:
             return 0.0
-        return sum(self.latencies) / len(self.latencies)
+        return left_sum(self.latencies) / len(self.latencies)
 
     @property
     def elapsed(self) -> Seconds:
@@ -202,6 +202,6 @@ def mean_std(values: list[float]) -> tuple[float, float]:
     if not values:
         return 0.0, 0.0
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean = left_sum(values) / n
+    var = left_sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)

@@ -9,6 +9,7 @@ so configuration and reporting read like the paper (``1 MiB`` I/O,
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 # Dimension aliases for annotations.  At runtime these are plain
 # ``int``/``float`` — zero cost, zero behaviour change — but simflow's
@@ -61,6 +62,23 @@ def parse_size(text: str | int | float) -> int:
             number = s[: -len(suffix)]
             return int(float(number) * _SUFFIXES[suffix])
     return int(float(s))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v1) + v2) + ...``: one plain IEEE-754 addition per
+    term, left to right (docs/MODEL.md, "Float sums").
+
+    Builtin ``sum()`` of floats is compensated (Neumaier) from Python
+    3.12 on, so the same model would round differently on different
+    interpreters; modelled float sums use this fold instead.
+
+    >>> left_sum([0.1, 0.2, 0.3])
+    0.6000000000000001
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @lru_cache(maxsize=8)

@@ -34,7 +34,7 @@ from repro.errors import ConfigError, NotFoundError
 from repro.hdf5.daos_vol import Hdf5DaosVol, Hdf5VolParams
 from repro.hdf5.posix import Hdf5PosixFile, Hdf5PosixParams
 from repro.sim.stats import PhaseRecorder
-from repro.units import MiB
+from repro.units import MiB, left_sum
 from repro.workloads.common import (
     CephEnv,
     DaosEnv,
@@ -92,7 +92,7 @@ def merge_charges(
     a * scale`` over the profiles in turn: ``np.bincount`` adds each
     bin's weights in input order, starting from 0.0.  Keys come out in
     first-appearance order, as the fold inserts them, so a later
-    ``sum(charges.values())`` adds in the same order too.  See
+    ``left_sum(charges.values())`` adds in the same order too.  See
     docs/PERFORMANCE.md.
     """
     if not profiles:
@@ -150,7 +150,7 @@ def merge_kv_loads(
 
 def engine_request_ops(charges: Dict[Target, float], total_ops: float) -> Dict[Any, float]:
     """Distribute request slots over engines proportional to byte share."""
-    total = sum(charges.values())
+    total = left_sum(charges.values())
     ops: Dict[Any, float] = {}
     if total <= 0:
         return ops

@@ -53,6 +53,28 @@ def test_missing_count_and_incorrect_run_fail():
     assert bench_record.compare(doc(), doc(failed=1))[1]
 
 
+def end_to_end(doc, correct=True, failed=0, wall_s=0.9):
+    """``doc`` as a ``bench-record/2`` record with an untraced run."""
+    metrics = {"wall_s": wall_s, "setup_s": 0.4, "peak_rss_mib": 51.0}
+    doc["workloads"]["kv-metadata"]["end_to_end"] = {
+        "correct": correct, "attempted": 12, "failed": failed,
+        "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
+    return doc
+
+
+def test_end_to_end_times_reported_not_gated_and_v1_records_still_read():
+    old_v1 = {**doc(), "schema": "bench-record/1"}
+    lines, failures = bench_record.compare(old_v1, end_to_end(doc()))
+    assert failures == []
+    assert any("wall_s" in line and line.endswith("missing") for line in lines)
+    lines, failures = bench_record.compare(end_to_end(doc()), end_to_end(doc(), wall_s=1.8))
+    assert failures == []
+    assert any("wall_s" in line and "+100.0%" in line for line in lines)
+    assert bench_record.compare(end_to_end(doc()), old_v1)[1] == []
+    assert bench_record.compare(doc(), end_to_end(doc(), correct=False))[1]
+    assert bench_record.compare(doc(), end_to_end(doc(), failed=2))[1]
+
+
 def test_compare_exit_status(tmp_path, capsys):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps(doc()))
@@ -68,7 +90,7 @@ def test_committed_records_are_comparable():
     records = sorted((_PATH.parent.parent / "benchmarks").glob("BENCH_*.json"))
     for path in records:
         record = json.loads(path.read_text())
-        assert record["schema"] == bench_record.SCHEMA
+        assert record["schema"] in bench_record.READABLE
         assert path.name == f"BENCH_{record['sha'][:12]}.json"
         assert set(record["workloads"]) == {"daos-bulk", "kv-metadata", "exact-faults"}
         assert {"python", "nproc", "cpu"} <= set(record["host"])

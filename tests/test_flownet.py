@@ -274,6 +274,33 @@ def test_set_capacity_midflight():
     assert done["t"] == pytest.approx(15.0)
 
 
+def test_capacity_changes_only_through_set_capacity():
+    """A 10-unit flow on a 1/s link whose capacity doubles at t = 1
+    finishes at 1 + 9/2 = 5.5.  ``Link.capacity`` is read-only: a write
+    that bypassed the network would leave the 1/s rate in place, and
+    the flow would finish at 10.0."""
+    sim, net = make_net()
+    link = net.add_link("pipe", 1.0)
+    done = {}
+
+    def flow_proc():
+        flow = net.transfer(10.0, [(link, 1.0)], name="f")
+        yield flow.done
+        done["t"] = sim.now
+
+    def upgrade():
+        yield sim.timeout(1.0)
+        with pytest.raises(AttributeError):
+            link.capacity = 2.0
+        net.set_capacity("pipe", 2.0)
+
+    sim.process(flow_proc())
+    sim.process(upgrade())
+    sim.run()
+    assert link.capacity == 2.0
+    assert done["t"] == 5.5
+
+
 def test_many_flows_fair_share_scales():
     sim, net = make_net()
     link = net.add_link("pipe", float(100 * MiB))
@@ -402,14 +429,9 @@ LINK_CAP = 2699422.8106198553
 
 
 def _force_solver(net, vector):
-    """Pin the net to one solver implementation via the size thresholds
-    (-1: even a population with no edges takes the vector paths)."""
-    if vector:
-        net._SCALAR_MAX_FLOWS = -1
-        net._SCALAR_MAX_EDGES = -1
-    else:
-        net._SCALAR_MAX_FLOWS = 10**9
-        net._SCALAR_MAX_EDGES = 10**9
+    """Pin the net to one solver implementation via the band bound
+    (-1: even a population with no edges takes the wide band)."""
+    net._SCALAR_MAX_EDGES = -1 if vector else 10**9
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
@@ -443,6 +465,32 @@ def test_stalled_filling_names_the_stuck_flows(vector):
     net.transfer(1e12, [(link, 1.0)], name="greedy")
     with pytest.raises(SimulationError, match=r"stalled.*blocked"):
         net.transfer(1e12, [], demand_cap=NEAR_MISS_CAP, name="blocked")
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_link_added_while_flows_are_active(vector):
+    """A link registered mid-run joins the incidence of either band: a
+    flow on it shares nothing with the running one and runs at its
+    own link's capacity."""
+    sim, net = make_net()
+    _force_solver(net, vector)
+    first = net.add_link("first", 10.0)
+    done = {}
+
+    def flow_proc(name, link, size):
+        flow = net.transfer(size, [(link, 1.0)], name=name)
+        yield flow.done
+        done[name] = sim.now
+
+    def late():
+        yield sim.timeout(1.0)
+        second = net.add_link("second", 5.0)
+        yield from flow_proc("b", second, 10.0)
+
+    sim.process(flow_proc("a", first, 50.0))
+    sim.process(late())
+    sim.run()
+    assert done == {"a": 5.0, "b": 3.0}
 
 
 def test_scalar_and_vector_solvers_bitwise_identical():
@@ -479,7 +527,7 @@ def _rate_history(net):
 
     def recording():
         reallocate()
-        history.append(net._f_rate[: net._nf].tolist())
+        history.append(list(net._f_rate))
 
     net._reallocate = recording
     return history
@@ -526,7 +574,7 @@ def test_solver_is_chosen_by_edge_count(population):
 
     scalar_rates, scalar_done = run(vector=False)
     vector_rates, vector_done = run(vector=True)
-    assert max(len(r) for r in scalar_rates) > FlowNetwork._SCALAR_MAX_FLOWS
+    assert max(len(r) for r in scalar_rates) > 16
     assert scalar_rates == vector_rates  # exact: one IEEE-754 op sequence
     assert scalar_done == vector_done
 
@@ -547,7 +595,7 @@ def test_solver_is_chosen_by_edge_count(population):
     history = _rate_history(net)
     assert run_flows(sim, net, population(net)) == scalar_done
     assert history == scalar_rates
-    assert max(n for n, _ in solves) > FlowNetwork._SCALAR_MAX_FLOWS
+    assert max(n for n, _ in solves) > 16
     if population is _mixed_population:
         assert max(solves) == (24, 100)
 

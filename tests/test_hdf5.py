@@ -173,7 +173,7 @@ def test_vol_ops_funnel_through_pool_service():
     cluster = Cluster(n_servers=4, n_clients=2, seed=0)
     pool = Pool(cluster)
     # shrink the pool service so the ceiling shows with few ops
-    pool.rsvc_link.capacity = 200.0  # ops/s
+    cluster.net.set_capacity(pool.rsvc_link.name, 200.0)  # ops/s
     vols = [
         Hdf5DaosVol(DaosClient(cluster, pool, node)) for node in cluster.clients
     ]

@@ -8,7 +8,7 @@ completion accounting conserves bytes.
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -132,16 +132,18 @@ class _AlwaysSolveNet(FlowNetwork):
         super()._reallocate()
 
 
-def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None, cancels=()):
+def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None, cancels=(),
+                      recap=None):
     """Drive one arrival/departure sequence; return each flow's finish
     time (None if cancelled) and every link's busy integral.
 
     ``cancels[tag]``, when present and not None, cancels flow ``tag``
-    that many seconds after it starts (a no-op if it finished first)."""
+    that many seconds after it starts (a no-op if it finished first).
+    ``recap``, when given, is ``(at, link, capacity)``: one
+    ``set_capacity`` at time ``at``."""
     sim = Simulator()
     net = net_cls(sim)
     if scalar_max is not None:
-        net._SCALAR_MAX_FLOWS = scalar_max
         net._SCALAR_MAX_EDGES = scalar_max
     links = [net.add_link(f"l{i}", c) for i, c in enumerate(caps)]
     times = {}
@@ -167,8 +169,14 @@ def _completion_times(caps, specs, net_cls=FlowNetwork, scalar_max=None, cancels
             return
         times[tag] = sim.now
 
+    def recapper(at, li, capacity):
+        yield sim.timeout(at)
+        net.set_capacity(links[li % len(links)].name, capacity)
+
     for tag, (size, usages, cap, delay) in enumerate(specs):
         sim.process(driver(tag, size, usages, cap, delay))
+    if recap is not None:
+        sim.process(recapper(*recap))
     sim.run()
     return times, net.busy_integrals().tolist()
 
@@ -193,6 +201,46 @@ def test_scalar_and_vector_solvers_agree(caps, specs):
     scalar = _completion_times(caps, specs, scalar_max=10**9)
     vector = _completion_times(caps, specs, scalar_max=-1)
     assert scalar == vector  # exact: solvers are bitwise interchangeable
+
+
+cancel_plans = st.lists(st.one_of(st.none(), st.floats(0.0, 3.0)), max_size=10)
+capacity_changes = st.tuples(st.floats(0.0, 2.0), st.integers(0, 4), st.floats(1.0, 1000.0))
+
+
+@settings(**SETTINGS)
+@given(
+    caps=link_caps,
+    specs=flow_specs,
+    cancels=cancel_plans,
+    bound=st.integers(0, 8),
+    recap=capacity_changes,
+)
+# the history-dependence counterexamples of the incremental-vs-scratch
+# test above, as band-crossing sequences
+@example(caps=[5.0, 1.0], specs=[(1.0, [(1, 1.0)], None, 0.0),
+         (4.0, [(0, 1.0), (0, 1.0), (0, 0.75)], None, 0.0)],
+         cancels=[], bound=1, recap=None)
+@example(caps=[4.0, 1.0, 467.0], specs=[(1.0, [(0, 1.0)], None, 0.0),
+         (64.0, [(2, 2.493322614282528)], None, 0.125)],
+         cancels=[], bound=1, recap=None)
+@example(caps=[856.0303183348968, 390.7400335010644],
+         specs=[(1.0, [(1, 2.453125)], None, 0.0), (3.0, [(0, 2.0)], None, 0.0)],
+         cancels=[], bound=1, recap=None)
+@example(caps=[23.0, 2.0], specs=[(1.0, [(0, 1.0)], None, 0.0),
+         (1.0, [(1, 1.5)], None, 0.0),
+         (4.0, [(0, 1.0), (0, 1.0), (0, 3.0)], None, 0.0)],
+         cancels=[], bound=2, recap=None)
+@example(caps=[251.0, 486.0], specs=[(1.0, [(0, 1.0)], None, 1.0),
+         (1.0, [(0, 1.0), (0, 1.0)], None, 0.0), (4.0, [(1, 1.375)], None, 0.0)],
+         cancels=[], bound=1, recap=None)
+def test_band_crossings_match_the_wide_band(caps, specs, cancels, bound, recap):
+    """A small band bound makes populations cross it in both directions
+    mid-run (arrivals, completions, cancels), converting the incidence
+    each time; with one capacity change on top, every finish time and
+    busy integral equals the all-wide-band run bit for bit."""
+    crossing = _completion_times(caps, specs, scalar_max=bound, cancels=cancels, recap=recap)
+    wide = _completion_times(caps, specs, scalar_max=-1, cancels=cancels, recap=recap)
+    assert crossing == wide  # exact: conversions keep row order and every fold
 
 
 class _ReferenceBusyNet(FlowNetwork):
@@ -234,9 +282,6 @@ class _ReferenceBusyNet(FlowNetwork):
         for got, want, offered in zip(settled, self.ref_busy, self.offered):
             assert abs(got - want) <= 1e-12 * offered, (got, want, offered)
         super()._schedule_completion()
-
-
-cancel_plans = st.lists(st.one_of(st.none(), st.floats(0.0, 3.0)), max_size=10)
 
 
 @settings(**SETTINGS)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.units import GiB, Gbps, KiB, MiB, TiB, fmt_bw, fmt_bytes, fmt_iops, parse_size
+from repro.units import (
+    GiB, Gbps, KiB, MiB, TiB, fmt_bw, fmt_bytes, fmt_iops, left_sum, parse_size,
+)
 
 
 def test_constants_are_binary_powers():
@@ -39,6 +41,16 @@ def test_parse_size(text, expected):
 
 def test_parse_size_case_insensitive():
     assert parse_size("1 gib") == parse_size("1 GiB") == parse_size("1GIB")
+
+
+def test_left_sum_is_a_plain_left_fold():
+    """One rounding per term, left to right, on every interpreter:
+    ``(0.1 + 0.2) + 0.3`` rounds up, where a compensated sum (builtin
+    ``sum()`` from Python 3.12 on) gives 0.6."""
+    assert left_sum([0.1, 0.2, 0.3]) == 0.6000000000000001
+    assert left_sum([0.3, 0.2, 0.1]) == 0.6
+    assert left_sum(iter([1e16, 1.0, -1e16])) == 0.0
+    assert left_sum([]) == 0.0
 
 
 def test_parse_size_garbage_raises():

@@ -5,13 +5,15 @@ Record (from the repository root)::
 
     python3 tools/bench_record.py --seed 1
 
-runs the unmodified ``perfbench/run.py --trace 1 --seconds 10`` once
-per workload named in ``BENCHMARK.json`` and writes
-``benchmarks/BENCH_<sha>.json``:
-each workload's last output line (``correct``, ``attempted``,
-``failed`` and the per-layer ``metrics``), the seed, the measured
-source and the host fingerprint ``perfbench`` prints (Python and numpy
-versions, CPU model and count).  ``<sha>`` is the first 12 hex digits
+runs the unmodified ``perfbench/run.py --seconds 10`` twice per
+workload named in ``BENCHMARK.json``, once with ``--trace 1`` and once
+with ``--trace 0``, and writes ``benchmarks/BENCH_<sha>.json``:
+each workload's last output line of the traced run (``correct``,
+``attempted``, ``failed`` and the per-layer ``metrics``), the last
+line of the untraced run under ``end_to_end`` (its ``wall_s``,
+``setup_s`` and ``peak_rss_mib``), the seed, the measured source and
+the host fingerprint ``perfbench`` prints (Python and numpy versions,
+CPU model and count).  ``<sha>`` is the first 12 hex digits
 of git's hash of the measured ``src/`` tree, uncommitted edits
 included, so it names exactly the code that was timed: for any commit
 of that code ``git rev-parse <commit>:src`` prints the same hash.
@@ -24,9 +26,12 @@ Compare::
 prints every metric's old and new value and relative delta, and exits
 1 if a deterministic count differs (``*.calls``, ``sim.events``,
 ``flownet.recomputes``, ``daos.failovers``, ``workload.lost_ops``)
-without being named by ``--expect-change``, or if a NEW workload is not
-correct or has failed points.  Times are only reported: they are
-judged against the ``BENCHMARK.json`` bounds, by repeated runs.
+without being named by ``--expect-change``, or if a NEW run is not
+correct or has failed points.  Times, the end-to-end ones included,
+are only reported: one run each cannot resolve them, so they are
+judged against the ``BENCHMARK.json`` bounds by repeated alternating
+runs.  Either side may be a ``bench-record/1`` record, which has no
+end-to-end run.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA = "bench-record/1"
+SCHEMA = "bench-record/2"
+#: schemas ``--compare`` reads; ``/1`` records have no ``end_to_end``
+READABLE = ("bench-record/1", SCHEMA)
 #: ``--seconds`` of each benchmark run, the same for every record
 SECONDS = 10.0
 #: counts that are pure functions of the model and the seed
@@ -69,10 +76,11 @@ def source_sha(root: Path) -> str:
         return _git(root, "write-tree", "--prefix=src/", env=env)
 
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """``(host fingerprint, last-line result)`` of one traced benchmark run."""
+def run_workload(root: Path, workload: str, seed: int, seconds: float, trace: int
+                 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """``(host fingerprint, last-line result)`` of one benchmark run."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     return json.loads(lines[0])["host"], json.loads(lines[-1])
@@ -83,7 +91,8 @@ def record(root: Path, seed: int, seconds: float) -> Dict[str, Any]:
     host: Dict[str, Any] = {}
     results: Dict[str, Any] = {}
     for workload in workloads:
-        host, results[workload] = run_workload(root, workload, seed, seconds)
+        host, results[workload] = run_workload(root, workload, seed, seconds, trace=1)
+        _, results[workload]["end_to_end"] = run_workload(root, workload, seed, seconds, trace=0)
     return {
         "schema": SCHEMA,
         "sha": source_sha(root),
@@ -102,22 +111,29 @@ def compare(old: Dict[str, Any], new: Dict[str, Any], expect_change: Iterable[st
     lines: List[str] = []
     failures: List[str] = []
     for workload, result in new["workloads"].items():
-        if result["correct"] is not True or result["failed"]:
-            failures.append(f"{workload}: correct={result['correct']}, failed={result['failed']}")
-        before = old["workloads"].get(workload, {}).get("metrics", {})
+        before = old["workloads"].get(workload, {})
         lines.append(f"{workload}:")
-        for metric in sorted(set(before) | set(result["metrics"])):
-            a = before.get(metric, {}).get("value")
-            b = result["metrics"].get(metric, {}).get("value")
-            if a is None or b is None:
-                delta = "missing"
-            elif a == b:
-                delta = "="
-            else:
-                delta = f"{(b - a) / a:+.1%}" if a else "new"
-            lines.append(f"  {metric:<34} {a!s:>22} {b!s:>22}  {delta}")
-            if is_deterministic(metric) and delta != "=" and metric not in expected:
-                failures.append(f"{workload}: {metric} {a} -> {b}")
+        for run, was, indent in ((result, before, "  "),
+                                 (result.get("end_to_end"), before.get("end_to_end"), "    ")):
+            if run is None:
+                continue
+            if run["correct"] is not True or run["failed"]:
+                failures.append(f"{workload}: correct={run['correct']}, failed={run['failed']}")
+            if run is not result:
+                lines.append("  end to end (--trace 0, reported only):")
+            old_metrics = (was or {}).get("metrics", {})
+            for metric in sorted(set(old_metrics) | set(run["metrics"])):
+                a = old_metrics.get(metric, {}).get("value")
+                b = run["metrics"].get(metric, {}).get("value")
+                if a is None or b is None:
+                    delta = "missing"
+                elif a == b:
+                    delta = "="
+                else:
+                    delta = f"{(b - a) / a:+.1%}" if a else "new"
+                lines.append(f"{indent}{metric:<34} {a!s:>22} {b!s:>22}  {delta}")
+                if is_deterministic(metric) and delta != "=" and metric not in expected:
+                    failures.append(f"{workload}: {metric} {a} -> {b}")
     return lines, failures
 
 

@@ -9,8 +9,8 @@ workflow a user follows when a number looks off:
 2. rank the links by mean utilisation ("what ran hot?");
 3. attribute the elapsed time to resources with the critical-path
    analyzer and watch the saturation unfold on a timeline;
-4. sweep client configurations with the harness optimiser (the paper's
-   own methodology, Section II) to find where the curve saturates;
+4. read each API's best client configuration off Fig. 1, the paper's
+   own client sweep (Section II), to find where the curve saturates;
 5. confirm against the analytic roofline from ``repro.analysis``;
 6. profile the *simulator itself* with simprof — which callback sites
    and flow-network recomputes ate the host's wall clock, and what the
@@ -26,7 +26,7 @@ Run:  python examples/performance_debugging.py
 
 import repro.obs as obs_mod
 from repro.analysis import efficiency, write_roofline
-from repro.harness import PointSpec, find_optimal_clients, run_point
+from repro.harness import PointSpec, build_figure, run_point
 from repro.hardware import Cluster
 from repro.obs.timeline import render_timeline
 from repro.units import GiB
@@ -75,13 +75,21 @@ def critical_path() -> None:
 
 
 def optimise_clients() -> None:
-    print("\n== 4. sweep client configurations (paper Sec. II) ==")
-    base = PointSpec(
-        workload="ior", store="daos", api="DAOS",
-        n_servers=N_SERVERS, ops_per_process=48,
-    )
-    result = find_optimal_clients(base, node_grid=[1, 2, 4], ppn_grid=[4, 16, 32])
-    print(result.summary())
+    print("\n== 4. best client configuration per API (paper Sec. II, Fig. 1) ==")
+    # Fig. 1 is the paper's client sweep on 16 servers: one series per
+    # API and client node count, over the total process count
+    fig = build_figure("F1", "quick")
+    for phase in ("write", "read"):
+        best = {}
+        for series in fig.panels[phase]:
+            api, nodes = series.label.rsplit(" (", 1)
+            nodes = int(nodes.rstrip("cn)"))
+            for procs, bw in zip(series.xs, series.means):
+                if api not in best or bw > best[api][0]:
+                    best[api] = (bw, nodes, int(procs) // nodes)
+        for api, (bw, nodes, ppn) in best.items():
+            print(f"  {phase:<5} {api:<9} best {bw:5.1f} GiB/s at "
+                  f"{nodes} client nodes x {ppn} ppn")
 
 
 def roofline_check() -> None:

@@ -10,9 +10,10 @@
   plans in-process and :func:`execute_plans` pipelines dedup → cache →
   execute → assemble;
 - :mod:`repro.harness.resilience` — :class:`ResilientParallelExecutor`
-  fans points over worker processes (bit-identical results to the
-  serial executor), survives worker crashes and interrupts, and fails
-  once, like the serial executor, when a point raises or hangs;
+  runs each point in its own forked process, up to ``jobs`` at once
+  (bit-identical results to the serial executor), reruns a point whose
+  process crashed, survives interrupts, and fails once, like the serial
+  executor, when a point raises or hangs;
 - :mod:`repro.harness.cache` — content-addressed on-disk
   :class:`ResultCache` with model/schema-version invalidation;
 - :mod:`repro.harness.figures` — one planner per paper figure/table
@@ -54,7 +55,6 @@ from repro.harness.figures import (
     build_figure,
     plan_figure,
 )
-from repro.harness.optimize import OptimisationResult, find_optimal_clients
 from repro.harness.plan import PlanBatch, RunPlan, dedupe_plans, make_plan
 from repro.harness.report import render_figure, render_markdown
 
@@ -83,6 +83,4 @@ __all__ = [
     "plan_figure",
     "render_figure",
     "render_markdown",
-    "find_optimal_clients",
-    "OptimisationResult",
 ]

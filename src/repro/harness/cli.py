@@ -33,7 +33,8 @@ numbers (see docs/OBSERVABILITY.md).
 
 Execution is planned: the requested figures' run plans go to an
 executor as one deduplicated batch, so a point several figures share
-runs once (``--jobs N`` fans points out over N worker processes), with
+runs once (``--jobs N`` runs up to N points at once, each in its own
+process), with
 an optional content-addressed on-disk result cache (``--cache-dir``).
 Modelled numbers are bit-identical whatever the jobs count or cache
 temperature — see docs/EXECUTION.md.  ``--series-json`` dumps every
@@ -41,11 +42,11 @@ series at full float precision, which is how CI asserts that identity.
 
 A point fails once, whatever ``--jobs``: a point that raises stops the
 build with its own exception, and one that overruns ``--point-timeout``
-or keeps killing its worker stops it with ``PointFailed`` (exit 2).
+or keeps killing its process stops it with ``PointFailed`` (exit 2).
 Every completed point is checkpointed into the cache immediately, a
-worker crash respawns the pool and resubmits the points it took down,
-and a first Ctrl-C drains in-flight work and exits 130 (a second
-hard-stops); re-running the same command serves the finished points
+point whose process crashed is rerun in a fresh one, and a first
+Ctrl-C drains in-flight work and exits 130 (a second hard-stops);
+re-running the same command serves the finished points
 from ``--cache-dir``.  See docs/EXECUTION.md ("Resilient execution").
 """
 
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="execute figure points across N worker processes "
+        help="run up to N figure points at once, each in its own process "
              "(default: 1, in-process serial execution)",
     )
     parser.add_argument(
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
         help="host wall-clock deadline per point; an overdue point stops "
-             "the build and its worker is terminated",
+             "the build and its process is killed",
     )
     parser.add_argument(
         "--series-json", metavar="PATH",
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
         ResilientParallelExecutor,
     )
 
-    # --point-timeout opts a serial invocation into the process-pool
+    # --point-timeout opts a serial invocation into the process-per-point
     # executor too, since an in-process point cannot be deadlined
     executor = (
         ResilientParallelExecutor(jobs=args.jobs, point_timeout=args.point_timeout)

@@ -1,14 +1,15 @@
 """Executors: satisfy a plan's point demand, serially or in parallel.
 
 This module holds the executor protocol, the in-process
-:class:`SerialExecutor`, the worker-side entry point and the
-:func:`execute_plans` pipeline; the process-pool executor is
+:class:`SerialExecutor`, the one worker entry every executor runs a
+point through, and the :func:`execute_plans` pipeline; the
+process-per-point executor is
 :class:`repro.harness.resilience.ResilientParallelExecutor`.
 
 The contract every executor honours: **the modelled numbers are a pure
 function of the task list**.  Per-point seeds come from
 :func:`repro.harness.experiment.point_seed` (a stable content hash), so
-running the same tasks serially, across N worker processes, in any
+running the same tasks serially, one process per point, in any
 order, yields bit-identical :class:`PointResult`\\ s — the executor only
 decides *where and when* the simulations run, never *what they
 compute*.
@@ -67,8 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Instruments:
-    """The instruments a point is observed with (picklable: it rides a
-    :class:`PointTask` into a worker process)."""
+    """The instruments a point is observed with (a field of
+    :class:`PointTask`; a point's process hands the record back
+    pickled)."""
 
     timeline: Optional[obs_mod.TimelineConfig] = None
     profile: bool = False
@@ -97,7 +99,7 @@ class PointTask:
 class Executor(Protocol):
     """Anything that can turn tasks into results, order-preserving."""
 
-    #: worker-process count (1 for in-process executors); reported in
+    #: points run at once (1 for in-process executors); reported in
     #: the :class:`ExecutionReport` next to the batch wall time
     jobs: int
 
@@ -139,8 +141,7 @@ class SerialExecutor:
 
 
 def _run_task_observed(task: PointTask) -> PointResult:
-    """The one worker entry, for every executor (module-level, hence
-    picklable).
+    """The one worker entry, for every executor.
 
     Explicitly controls the ambient observability: the point runs under
     a private Observability with the task's instruments, or under none,
@@ -167,7 +168,7 @@ class ExecutionReport:
     unique_points: int = 0
     executed_points: int = 0
     wall_seconds: float = 0.0
-    #: points resubmitted after a worker crash (zero for the serial
+    #: points rerun after their process crashed (zero for the serial
     #: executor and for clean runs)
     retried: int = 0
 

@@ -20,8 +20,8 @@ on:
   were 1 apart in units of 1000; hash-derived seeds only collide if
   SHA-256 does;
 - **executor independence**: a point's seed does not depend on which
-  worker runs it, in what order, or alongside which other points, so
-  serial, process-pool, and cached executions are bit-identical;
+  process runs it, in what order, or alongside which other points, so
+  serial, process-per-point, and cached executions are bit-identical;
 - **spec sensitivity**: changing any field of the spec decorrelates the
   random stream, so figure points never share placement jitter just
   because they were enumerated at the same sweep index.
@@ -293,10 +293,10 @@ def run_point(spec: PointSpec, reps: int = 3, base_seed: int = 0) -> PointResult
     Repetition ``rep`` is seeded with ``point_seed(spec, rep,
     base_seed)``, so the result is a pure function of ``(spec, reps,
     base_seed)`` — independent of process, executor, and run order.
-    This function is picklable-by-reference (a plain module-level
-    callable of picklable arguments), which is what lets
-    :class:`repro.harness.resilience.ResilientParallelExecutor` ship
-    points to worker processes unchanged.
+    That is what lets
+    :class:`repro.harness.resilience.ResilientParallelExecutor` run each
+    point in a forked child of its own, and rerun a point whose child
+    crashed, without changing a bit.
 
     Under an active :class:`repro.obs.Observability` (see
     ``repro.obs.activated``) every repetition binds to it as one trace

@@ -21,7 +21,7 @@ panel function.  A new figure is a new row.
 
 Planning never runs simulations: :func:`build_figure` hands the plan to
 an executor (serial by default; see :mod:`repro.harness.executor` for
-the process-pool variant and :mod:`repro.harness.cache` for the on-disk
+the process-per-point variant and :mod:`repro.harness.cache` for the on-disk
 result cache), which is what makes figure runs parallelisable,
 deduplicatable, and incremental.
 

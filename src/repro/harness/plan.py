@@ -11,7 +11,7 @@ execution.  Instead, each builder now emits a :class:`RunPlan`:
 - a **pure assembly function** that turns a ``{spec: PointResult}``
   mapping into the figure's :class:`FigureResult` (series, shape
   checks, prose).  Assembly performs no simulation and no I/O, so the
-  same plan can be satisfied by a serial loop, a process pool, or a
+  same plan can be satisfied by a serial loop, one process per point, or a
   warm on-disk cache and assemble byte-identical figures.
 
 Because plans are data, points can be scheduled, parallelised,

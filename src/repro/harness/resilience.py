@@ -1,40 +1,47 @@
-"""Resilient campaign execution: fan points over worker processes,
+"""Resilient campaign execution: run each point in its own process,
 checkpoint each one the moment it finishes, and fail a batch once.
 
 A point is a pure function of ``(spec, reps, base_seed)``, so a point
 that raises or hangs does the same again on every attempt.  The
 parallel executor therefore fails like the serial one: a point runs
-once, and its failure stops the batch.  Only a crashed worker is not a
-property of the point, and only it is resubmitted.  All of this is
-host-side, wrapped *around* the simulations, so modelled numbers stay
-a pure function of ``(spec, reps, base_seed)``:
+once, and its failure stops the batch.  Only a process that dies
+without reporting is not a property of the point, and only its point
+is rerun.  All of this is host-side, wrapped *around* the simulations,
+so modelled numbers stay a pure function of ``(spec, reps,
+base_seed)``:
 
-- **Incremental checkpointing** — :class:`ResilientParallelExecutor`
-  reports every completed point through ``on_result`` the moment its
-  future resolves, so :func:`~repro.harness.executor.execute_plans`
-  can ``cache.put`` it immediately.  The result cache is the only
-  persistent harness state: re-running a failed or interrupted command
-  serves every finished point from the cache with zero recomputation.
-- **Fail once** — a point that raises stops new submissions; the
-  points already running finish (and are checkpointed), then the
-  point's own exception is re-raised, the type and message
+- **One process per point** — :class:`ResilientParallelExecutor` forks
+  a fresh child for every point attempt (at most ``jobs`` alive at
+  once), and the child sends ``(ok, result-or-exception)`` back over a
+  one-way pipe.  Nothing is shared between points, so a crash, a
+  timeout or a kill touches exactly one point.
+- **Incremental checkpointing** — every completed point is reported
+  through ``on_result`` the moment its child reports, so
+  :func:`~repro.harness.executor.execute_plans` can ``cache.put`` it
+  immediately.  The result cache is the only persistent harness state:
+  re-running a failed or interrupted command serves every finished
+  point from the cache with zero recomputation.
+- **Fail once** — a point that raises stops new starts; the points
+  already running finish (and are checkpointed), then the point's own
+  exception is re-raised, the type and message
   :class:`~repro.harness.executor.SerialExecutor` raises.  A point that
-  overruns its host wall-clock deadline (``--point-timeout``) stops the
-  batch the same way with :class:`PointFailed`, and its worker is
-  killed once the others have drained.
-- **Crash containment** — a ``BrokenProcessPool`` (worker SIGKILLed,
-  OOM-killed, or segfaulted) respawns the pool and resubmits the points
-  it took down.  A point whose worker dies under it while it runs alone
-  :data:`CRASH_ATTEMPTS` times stops the batch with :class:`PointFailed`.
-- **Graceful interrupt** — the first SIGINT stops submitting and
-  drains in-flight work (everything drained is checkpointed); the
-  second hard-stops.
+  overruns its host wall-clock deadline (``--point-timeout``) has its
+  child killed and stops the batch the same way with
+  :class:`PointFailed`.
+- **Crash containment** — a child that ends without reporting
+  (SIGKILLed, OOM-killed, or segfaulted) is its own point's crash and
+  nobody else's; the point is rerun, and its :data:`CRASH_ATTEMPTS`-th
+  crash stops the batch with :class:`PointFailed`.
+- **Graceful interrupt** — children ignore SIGINT.  The first SIGINT
+  stops starting points and drains those in flight (everything drained
+  is checkpointed); the second kills every child and raises
+  ``KeyboardInterrupt``.
 
-Workers run points through the one worker entry the serial executor
+Children run points through the one worker entry the serial executor
 uses too, so each result carries its own telemetry record, and
 :func:`~repro.harness.executor.execute_plans` merges records in plan
 order, so ``--jobs N`` telemetry equals the serial run's even across
-crash resubmits.
+crash reruns.
 
 Deterministic chaos (for CI and tests) is injected via the
 ``REPRO_HARNESS_CHAOS`` environment variable; see :func:`chaos_plan`.
@@ -47,16 +54,22 @@ because none of it can reach modelled results.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import signal
 import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from types import FrameType
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+
+# every point draws from numpy.random, which numpy imports lazily: import
+# it once here, in the process the points are forked from, not per child
+import numpy.random  # noqa: F401
 
 from repro.errors import ConfigError, ReproError
 from repro.harness.executor import PointTask, _run_task_observed
@@ -77,8 +90,8 @@ __all__ = [
 #: plans — docs/FAULTS.md); see :func:`chaos_plan` for the grammar
 CHAOS_ENV = "REPRO_HARNESS_CHAOS"
 
-#: times a point's worker may die under it, while it runs alone, before
-#: the point stops the batch
+#: times a point's process may die under it before the point stops the
+#: batch
 CRASH_ATTEMPTS = 3
 
 
@@ -101,7 +114,7 @@ class ExecutionInterrupted(ReproError):
 
 class PointFailed(ReproError):
     """A point stopped the batch without raising an exception of its
-    own: it overran its host deadline, or its worker kept dying.
+    own: it overran its host deadline, or its process kept dying.
 
     The points that finished before the batch stopped are checkpointed
     through ``on_result``.
@@ -131,27 +144,48 @@ class ChaosPlan:
         )
 
 
+def _count(text: str, directive: str) -> int:
+    """A directive's count: an ASCII decimal N >= 1, else a ConfigError."""
+    if text.isascii() and text.isdigit() and int(text) >= 1:
+        return int(text)
+    raise ConfigError(
+        f"{CHAOS_ENV}: {directive!r} needs a count N written as an "
+        f"ASCII decimal >= 1"
+    )
+
+
 def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
     """Parse harness-chaos directives (``;``-separated):
 
-    - ``kill-worker:SUBSTR[:N]`` — a worker about to run a task whose
+    - ``kill-worker:SUBSTR[:N]`` — the process about to run a task whose
       spec token contains ``SUBSTR`` SIGKILLs itself, on the first
-      ``N`` attempts (default 1: the resubmit succeeds).
-    - ``sleep:SUBSTR:SECONDS`` — the worker sleeps (host time) before
+      ``N`` attempts (default 1: the rerun succeeds).  The text after
+      the last colon is ``N`` unless it holds a letter or a quote.
+    - ``sleep:SUBSTR:SECONDS`` — the process sleeps (host time) before
       running a matching task — the deterministic stand-in for a hung
       simulation.
     - ``interrupt-after:N`` — the parent behaves as if it received a
-      SIGINT after N fresh completions (stop submitting, drain,
+      SIGINT after N fresh completions (stop starting points, drain,
       checkpoint, raise :class:`ExecutionInterrupted`).
+
+    Every count ``N`` is an ASCII decimal >= 1 and every ``SUBSTR`` is
+    non-empty.
     """
     raw = os.environ.get(CHAOS_ENV, "") if env is None else env
     plan = ChaosPlan()
     for directive in filter(None, (p.strip() for p in raw.split(";"))):
         name, _, rest = directive.partition(":")
         if name == "kill-worker" and rest:
-            substr, _, n = rest.rpartition(":")
-            if substr and n.isdigit():
-                plan = replace(plan, kill_substr=substr, kill_attempts=int(n))
+            substr, sep, n = rest.rpartition(":")
+            if sep and not any(c.isalpha() or c == "'" for c in n):
+                if not substr:
+                    raise ConfigError(
+                        f"{CHAOS_ENV}: {directive!r} needs kill-worker:SUBSTR[:N] "
+                        f"with SUBSTR not empty"
+                    )
+                plan = replace(
+                    plan, kill_substr=substr, kill_attempts=_count(n, directive)
+                )
             else:
                 plan = replace(plan, kill_substr=rest, kill_attempts=1)
         elif name == "sleep" and rest:
@@ -166,8 +200,8 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
                     f"with SECONDS a finite number >= 0"
                 )
             plan = replace(plan, sleep_substr=substr, sleep_seconds=value)
-        elif name == "interrupt-after" and rest.isdigit():
-            plan = replace(plan, interrupt_after=int(rest))
+        elif name == "interrupt-after" and rest:
+            plan = replace(plan, interrupt_after=_count(rest, directive))
         else:
             raise ConfigError(
                 f"{CHAOS_ENV}: unknown directive {directive!r} "
@@ -178,7 +212,7 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
 
 
 def _resilient_task(task: PointTask, attempt: int) -> PointResult:
-    """Worker-side entry point (module-level, hence picklable).
+    """Run one point attempt, applying the chaos directives first.
 
     ``attempt`` is the zero-based try number — chaos directives key off
     it so a "crash once" scenario crashes exactly once.  Delegates to
@@ -199,33 +233,49 @@ def _resilient_task(task: PointTask, attempt: int) -> PointResult:
     return _run_task_observed(task)
 
 
+def _point_child(conn: Connection, task: PointTask, attempt: int) -> None:
+    """A point's forked process: run the attempt, send ``(ok, value)``
+    once, and end without running any of the parent's exit handlers.
+
+    A point's own exception is sent with its traceback as a note (where
+    the Python has ``add_note``), so the parent re-raises the same type
+    and message and still shows where it was raised.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        try:
+            message: Tuple[bool, Any] = (True, _resilient_task(task, attempt))
+        except BaseException as exc:  # simlint: disable=SL006 -- the parent re-raises it, as the serial executor would
+            if hasattr(exc, "add_note"):  # Python >= 3.11
+                exc.add_note(f"raised in the point's process:\n{traceback.format_exc()}")
+            message = (False, exc)
+        try:
+            conn.send(message)
+        except Exception as exc:  # simlint: disable=SL006 -- an unpicklable result or exception is reported as the pickling error
+            conn.send((False, exc))
+    finally:
+        os._exit(0)
+
+
 @dataclass
 class RunStats:
     """Crash accounting for one ``run_tasks`` call."""
 
-    #: points resubmitted because their worker died
+    #: points rerun because their process died
     retried: int = 0
-    #: pool crashes (BrokenProcessPool)
+    #: processes that ended without reporting a result
     crashes: int = 0
 
 
-@dataclass
-class _Pending:
-    """Book-keeping for one submitted attempt."""
-
-    index: int
-    deadline: Optional[float]
-    overdue: bool = False
-
-
 class ResilientParallelExecutor:
-    """Fan tasks out over a process pool, surviving worker crashes and
-    interrupts, and failing once like :class:`SerialExecutor`.
+    """Run each task in its own forked process, at most ``jobs`` at
+    once, surviving crashes and interrupts, and failing once like
+    :class:`SerialExecutor`.
 
     Satisfies the executor protocol (``results[i]`` corresponds to
     ``tasks[i]``).  Modelled results are bit-identical to
-    :class:`SerialExecutor`'s — a resubmitted point re-runs the same
-    pure function with the same content-hash seed.
+    :class:`SerialExecutor`'s — a rerun point re-runs the same pure
+    function with the same content-hash seed.
     """
 
     def __init__(self, jobs: int = 2, point_timeout: Optional[float] = None) -> None:
@@ -258,154 +308,111 @@ class ResilientParallelExecutor:
             return []
         n = len(tasks)
         results: Dict[int, PointResult] = {}
-        attempts = [0] * n  # tries started
-        crashes = [0] * n  # times a task's worker died under it alone
+        # times a task's process died under it: also its next attempt's
+        # zero-based number, since only a crash reruns a point
+        crashes = [0] * n
         queue: Deque[int] = deque(range(n))
-        running: Dict["Future[PointResult]", _Pending] = {}
-        pool: Optional[ProcessPoolExecutor] = None
+        # read end of each live child's pipe -> (task index, child, deadline)
+        running: Dict[Connection, Tuple[int, BaseProcess, float]] = {}
+        ctx = multiprocessing.get_context("fork")
         chaos = chaos_plan()
         sigints = 0
-        # the first point failure; once set, nothing more is submitted
-        # and it is raised when the in-flight points have drained
+        # the first point failure; once set, nothing more is started and
+        # it is raised when the in-flight points have drained
         failure: Optional[BaseException] = None
         interrupted = False
-        hard_stop = False
-        # culprit isolation: a pool crash kills every in-flight attempt,
-        # so the culprit cannot be told from its collateral.  After a
-        # multi-victim crash the victims' next `solo_pending` attempts
-        # run one at a time, so the culprit crashes alone (and is
-        # charged alone) while innocents complete.
-        solo_pending = 0
 
         def on_sigint(signum: int, frame: Optional[FrameType]) -> None:
             nonlocal sigints
             sigints += 1
 
-        def ensure_pool() -> ProcessPoolExecutor:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=min(self.jobs, n))
-            return pool
-
-        def teardown_pool(kill: bool) -> None:
-            nonlocal pool
-            if pool is None:
-                return
-            if kill:
-                procs = getattr(pool, "_processes", None) or {}
-                for proc in list(procs.values()):
-                    proc.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-            running.clear()
-
-        def submit(index: int) -> None:
-            fut = ensure_pool().submit(_resilient_task, tasks[index], attempts[index])
-            attempts[index] += 1
-            deadline = (
-                time.monotonic() + self.point_timeout
-                if self.point_timeout is not None
-                else None
+        def start(index: int) -> None:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_point_child,
+                args=(send_end, tasks[index], crashes[index]),
+                daemon=True,
             )
-            running[fut] = _Pending(index=index, deadline=deadline)
+            child.start()
+            # the child holds the only write end, so its death is EOF here
+            send_end.close()
+            deadline = time.monotonic() + (self.point_timeout or math.inf)
+            running[recv_end] = (index, child, deadline)
+
+        def reap(conn: Connection, kill: bool) -> Tuple[int, Optional[int]]:
+            index, child, _ = running.pop(conn)
+            if kill:
+                child.kill()
+            child.join()
+            conn.close()
+            return index, child.exitcode
 
         in_main_thread = threading.current_thread() is threading.main_thread()
         prev_handler: Any = None
         if in_main_thread:
             prev_handler = signal.signal(signal.SIGINT, on_sigint)
         try:
-            while True:
-                if sigints >= 2:
-                    hard_stop = True
-                    break
-                if sigints >= 1:
+            while sigints < 2:
+                if sigints:
                     interrupted = True
-                # submission window = jobs: a submitted task starts (nearly)
-                # immediately, so per-point deadlines measure actual runtime,
-                # a stop leaves queued work unsubmitted, and a pool crash
-                # dooms at most `jobs` attempts
                 if failure is None and not interrupted:
-                    window = 1 if solo_pending > 0 else self.jobs
-                    while queue and len(running) < window:
-                        submit(queue.popleft())
-                # an overdue attempt is abandoned, not waited for: its
-                # worker is killed with the pool once the rest drain
-                live = {fut: p for fut, p in running.items() if not p.overdue}
-                if not live:
+                    while queue and len(running) < self.jobs:
+                        start(queue.popleft())
+                if not running:
                     break
-                wait_timeout = 0.1
-                deadlines = [p.deadline for p in live.values() if p.deadline is not None]
-                if deadlines:
-                    wait_timeout = min(
-                        wait_timeout, max(0.0, min(deadlines) - time.monotonic())
-                    )
-                done, _ = wait(set(live), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-                crash_victims: List[int] = []
-                for fut in sorted(done, key=lambda f: running[f].index):
-                    index = running.pop(fut).index
+                soonest = min(deadline for _, _, deadline in running.values())
+                ready = wait(list(running), min(0.1, max(0.0, soonest - time.monotonic())))
+                for conn in sorted(ready, key=lambda c: running[c][0]):
+                    if sigints >= 2:
+                        break  # a hard stop takes no more results
                     try:
-                        result = fut.result()
-                    except BrokenProcessPool:
-                        crash_victims.append(index)
+                        ok, value = conn.recv()
+                    except (EOFError, OSError):
+                        # the child ended without reporting: its point's crash
+                        index, exitcode = reap(conn, kill=False)
+                        stats.crashes += 1
+                        if failure is not None or interrupted:
+                            continue  # stopping: nothing is rerun
+                        crashes[index] += 1
+                        if crashes[index] >= CRASH_ATTEMPTS:
+                            failure = PointFailed(
+                                tasks[index].spec,
+                                f"lost its worker on {CRASH_ATTEMPTS} attempts "
+                                f"(exit code {exitcode})",
+                            )
+                        else:
+                            stats.retried += 1
+                            queue.append(index)  # queued points run first
                         continue
-                    except Exception as exc:  # simlint: disable=SL006 -- a point's own exception stops the batch and is re-raised after the in-flight points drain
+                    index, _ = reap(conn, kill=False)
+                    if not ok:
                         if failure is None:
-                            failure = exc
+                            failure = value
                         continue
-                    results[index] = result
-                    solo_pending = max(0, solo_pending - 1)
+                    results[index] = value
                     if on_result is not None:
-                        on_result(tasks[index], result)
+                        on_result(tasks[index], value)
                     if (
                         chaos.interrupt_after is not None
                         and len(results) >= chaos.interrupt_after
                     ):
                         interrupted = True
-                if crash_victims:
-                    # the pool is broken: every in-flight attempt died with it
-                    stats.crashes += 1
-                    victims = sorted(
-                        set(crash_victims) | {p.index for p in running.values()}
-                    )
-                    teardown_pool(kill=False)
-                    if failure is not None or interrupted:
-                        continue  # stopping: nothing is resubmitted
-                    if len(victims) > 1:
-                        # can't tell the culprit from its collateral:
-                        # run each victim alone, before anything else
-                        queue.extendleft(reversed(victims))
-                        solo_pending = len(victims)
-                    else:
-                        # it crashed alone: it is the culprit
-                        (index,) = victims
-                        crashes[index] += 1
-                        solo_pending = max(0, solo_pending - 1)
-                        if crashes[index] >= CRASH_ATTEMPTS:
+                now = time.monotonic()
+                for conn in sorted(running, key=lambda c: running[c][0]):
+                    if running[conn][2] <= now:
+                        index, _ = reap(conn, kill=True)
+                        if failure is None:
                             failure = PointFailed(
                                 tasks[index].spec,
-                                f"lost its worker on {CRASH_ATTEMPTS} attempts "
-                                f"(BrokenProcessPool)",
+                                f"overran --point-timeout={self.point_timeout}s",
                             )
-                            continue
-                        queue.append(index)  # queued innocents run first
-                    stats.retried += len(victims)
-                    continue
-                if self.point_timeout is not None:
-                    now = time.monotonic()
-                    for p in sorted(running.values(), key=lambda p: p.index):
-                        if p.deadline is not None and p.deadline <= now and not p.overdue:
-                            p.overdue = True
-                            if failure is None:
-                                failure = PointFailed(
-                                    tasks[p.index].spec,
-                                    f"overran --point-timeout={self.point_timeout}s",
-                                )
         finally:
             if in_main_thread:
                 signal.signal(signal.SIGINT, prev_handler)
-            # anything still running is hung or abandoned: kill it
-            teardown_pool(kill=bool(running))
-        if hard_stop:
+            # a second SIGINT, or an error out of on_result: kill the rest
+            for conn in list(running):
+                reap(conn, kill=True)
+        if sigints >= 2:
             raise KeyboardInterrupt
         if failure is not None:
             raise failure

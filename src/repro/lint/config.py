@@ -37,9 +37,9 @@ DEFAULT_WALLCLOCK_ALLOW = (
     # reported next to cache stats); the timing wraps around the
     # simulations and never feeds into modelled results
     "harness/executor.py",
-    # the resilience layer deadlines points and backs retries off in
-    # host time — by construction it wraps around the simulations
-    # (a retried point re-runs the same pure function, same seed)
+    # the resilience layer deadlines points and sleeps chaos directives
+    # in host time — by construction it wraps around the simulations
+    # (a rerun point re-runs the same pure function, same seed)
     "harness/resilience.py",
     # simprof: ALL of the engine's self-profiling clock reads live in
     # this one module — the kernel calls recorder methods, it never

@@ -257,31 +257,6 @@ def test_cli_trace_multiple_figures_offsets_pids(tmp_path, capsys):
     assert any(label.startswith("HW") for label in labels)
 
 
-# -- client-configuration optimisation (paper Sec. II methodology) ---------------
-
-
-def test_find_optimal_clients_prefers_more_parallelism():
-    from repro.harness.optimize import find_optimal_clients
-
-    base = small_spec(n_servers=4, ops_per_process=16)
-    result = find_optimal_clients(base, node_grid=[1, 2], ppn_grid=[2, 16])
-    assert len(result.table) == 4
-    (nodes, ppn), best_point = result.best["write"]
-    # a 4-server system needs the bigger client config to saturate
-    assert (nodes, ppn) == (2, 16)
-    assert result.best_bandwidth("write") == best_point.bw("write")
-    assert "write" in result.summary()
-    assert result.best_spec("write").ppn == 16
-
-
-def test_find_optimal_clients_validates_grids():
-    from repro.errors import ConfigError
-    from repro.harness.optimize import find_optimal_clients
-
-    with pytest.raises(ConfigError):
-        find_optimal_clients(small_spec(), node_grid=[], ppn_grid=[1])
-
-
 def test_fig4_end_to_end_quick():
     """One real (small) figure through the whole pipeline inside the test
     suite, guarding the harness against regressions between bench runs."""

@@ -1,15 +1,17 @@
 """Resilient campaign execution: checkpointing into the result cache,
-per-point timeouts, worker-crash containment, and failing once.
+per-point timeouts, per-point crash containment, and failing once.
 
 The invariants under test: resilience machinery never changes modelled
-numbers — a batch that loses workers to SIGKILL, or gets interrupted
-and re-run, produces figures byte-identical to an undisturbed serial
-run — and a point that fails stops the batch after one attempt, the
-same way whichever executor runs it, with every finished point already
-in the cache.
+numbers — a batch whose point processes are SIGKILLed, or that gets
+interrupted and re-run, produces figures byte-identical to an
+undisturbed serial run — and a point that fails stops the batch after
+one attempt, the same way whichever executor runs it, with every
+finished point already in the cache and no point process left behind.
 """
 
 import math
+import multiprocessing
+import os
 import re
 import signal
 import time
@@ -76,7 +78,7 @@ def series_data(fig):
 
 def logged_run_point(log, fail=None, hang=None):
     """``run_point`` that appends each attempt's spec token to ``log`` (a
-    file: a forked worker's memory is not the parent's), raises for
+    file: a forked child's memory is not the parent's), raises for
     ``fail`` and sleeps past any test deadline for ``hang``."""
     real = executor_mod.run_point
 
@@ -114,11 +116,16 @@ def test_chaos_plan_parses_directives():
 
 @pytest.mark.parametrize(
     "directive",
-    ["explode:everything", "sleep:abc", "sleep:x:notnum", "sleep:x:-1", "sleep:x:nan"],
+    [
+        "explode:everything", "sleep:abc", "sleep:x:notnum", "sleep:x:-1", "sleep:x:nan",
+        "kill-worker:ppn=4:\u00b2", "interrupt-after:\u0663", "kill-worker:ppn=4:0",
+        "kill-worker:ppn=4:", "kill-worker::3",
+    ],
 )
 def test_chaos_plan_rejects_unknown_directive(directive):
     # a malformed directive is a named error, never ignored, never a raw
-    # ValueError, and never a sleep the worker cannot take
+    # ValueError, never a sleep the process cannot take, and never a
+    # count that is not an ASCII decimal >= 1
     with pytest.raises(ConfigError, match=CHAOS_ENV) as exc:
         chaos_plan(directive)
     assert repr(directive) in str(exc.value)
@@ -167,11 +174,11 @@ def test_resilient_matches_serial_bit_identical(serial_figure):
     assert report.retried == 0
 
 
-# ------------------------------------------------- worker-crash containment
+# ------------------------------------------------- crash containment
 
 
 def test_sigkilled_worker_is_retried_and_identical(serial_figure, monkeypatch):
-    # one spec's worker SIGKILLs itself on the first attempt; the batch
+    # one spec's process SIGKILLs itself on the first attempt; the batch
     # must complete with retried > 0 and byte-identical series
     monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4")
     ex = ResilientParallelExecutor(jobs=2)
@@ -184,16 +191,23 @@ def test_sigkilled_worker_is_retried_and_identical(serial_figure, monkeypatch):
 def test_repeated_crasher_exhausts_crash_budget_and_stops_build(
     tmp_path, monkeypatch
 ):
-    # a task that kills its worker on every attempt is isolated, charged
-    # CRASH_ATTEMPTS crashes, and stops the build with a named error;
-    # the innocent points run first and are already checkpointed
+    # a task that kills its process on every attempt is charged
+    # CRASH_ATTEMPTS crashes and stops the build with a named error; a
+    # crash charges only its own point, so the innocent points ran once
+    # each and are already checkpointed
+    log = tmp_path / "attempts.log"
+    monkeypatch.setattr(executor_mod, "run_point", logged_run_point(log))
     monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4:99")
     cache = ResultCache(tmp_path / "c")
     ex = ResilientParallelExecutor(jobs=2)
     with pytest.raises(PointFailed, match=f"lost its worker on {CRASH_ATTEMPTS}") as exc:
         execute_plans([tiny_plan()], executor=ex, cache=cache)
     assert exc.value.token == spec_token(OTHER)
-    assert ex.last_stats.retried >= CRASH_ATTEMPTS - 1
+    assert ex.last_stats.retried == CRASH_ATTEMPTS - 1
+    assert ex.last_stats.crashes == CRASH_ATTEMPTS
+    attempts = log.read_text().splitlines()
+    assert attempts.count(spec_token(SMALL)) == 1
+    assert attempts.count(spec_token(DD)) == 1
     assert cache.get(SMALL, 2) is not None
     assert cache.get(DD, 2) is not None
     assert cache.get(OTHER, 2) is None
@@ -212,11 +226,12 @@ def test_point_timeout_fails_once_and_stops_build(tmp_path, monkeypatch):
     t0 = time.monotonic()
     with pytest.raises(PointFailed, match="overran --point-timeout=10.0s") as exc:
         execute_plans([tiny_plan()], executor=ex, cache=cache)
-    assert time.monotonic() - t0 < 50  # the hung worker was not waited for
+    assert time.monotonic() - t0 < 50  # the hung process was not waited for
     assert exc.value.token == spec_token(OTHER)
     assert log.read_text().splitlines().count(spec_token(OTHER)) == 1
     assert cache.get(SMALL, 2) is not None
     assert cache.get(DD, 2) is not None
+    assert multiprocessing.active_children() == []  # killed and reaped
 
 
 def test_cli_point_failure_exits_2_naming_the_point(tmp_path, monkeypatch, capsys):
@@ -291,6 +306,34 @@ def test_cli_interrupt_then_same_command_serves_finished_points(
     ).read_bytes()
 
 
+@pytest.mark.parametrize("sigints", [1, 2])
+def test_real_sigint_drains_once_and_hard_stops_twice(sigints, tmp_path, monkeypatch):
+    # a real SIGINT at the first checkpoint: one drains the point still
+    # running and checkpoints it; a second kills every point process
+    cache = ResultCache(tmp_path / "c")
+    put = cache.put
+    sent = []
+
+    def put_then_interrupt(result, **kwargs):
+        put(result, **kwargs)
+        if not sent:
+            sent.append(result)
+            for _ in range(sigints):
+                os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(cache, "put", put_then_interrupt)
+    ex = ResilientParallelExecutor(jobs=2)
+    expected = ExecutionInterrupted if sigints == 1 else KeyboardInterrupt
+    with pytest.raises(expected) as exc:
+        execute_plans([tiny_plan()], executor=ex, cache=cache)
+    assert multiprocessing.active_children() == []
+    if sigints == 1:
+        # the second point was in flight at the signal and was drained
+        assert exc.value.completed == len(cache) == 2
+    else:
+        assert len(cache) == 1
+
+
 # ---------------------------------- mid-batch persistence (regression)
 
 
@@ -326,6 +369,38 @@ def test_mid_batch_failure_keeps_completed_results(executor, tmp_path, monkeypat
     assert warm.stats.misses == report.executed_points == 3 - len(finished)
     plain, _ = execute_plan(tiny_plan())
     assert series_data(fig) == series_data(plain)
+
+
+class NoNotesError(RuntimeError):
+    """An exception without ``add_note``, as every exception is before
+    Python 3.11."""
+
+    def __getattribute__(self, name):
+        if name == "add_note":
+            raise AttributeError(name)
+        return super().__getattribute__(name)
+
+
+def test_point_exception_without_add_note_is_reraised_once(tmp_path, monkeypatch):
+    # the traceback note is optional: without it the point's own
+    # exception still comes back once, not as a lost worker
+    log = tmp_path / "attempts.log"
+    logged = logged_run_point(log)
+
+    def run(spec, reps=1, base_seed=0):
+        if spec == OTHER:
+            with open(log, "a") as fh:
+                fh.write(spec_token(spec) + "\n")
+            raise NoNotesError("no notes here")
+        return logged(spec, reps=reps, base_seed=base_seed)
+
+    monkeypatch.setattr(executor_mod, "run_point", run)
+    ex = ResilientParallelExecutor(jobs=2)
+    with pytest.raises(NoNotesError, match="no notes here"):
+        execute_plan(tiny_plan(), executor=ex)
+    assert log.read_text().splitlines().count(spec_token(OTHER)) == 1
+    assert ex.last_stats.crashes == 0
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------- pieces

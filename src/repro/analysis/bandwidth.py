@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import InvalidArgumentError
-from repro.hardware.specs import SERVER_N2_CUSTOM_36, ClientSpec, ServerSpec
-from repro.units import GiB
+from repro.hardware.specs import CLIENT_N2_HIGHCPU_32, SERVER_N2_CUSTOM_36, ServerSpec
 
 __all__ = ["write_roofline", "read_roofline", "efficiency"]
 
@@ -22,7 +21,7 @@ def read_roofline(
     n_servers: int,
     n_client_nodes: int = 10**9,
     spec: ServerSpec = SERVER_N2_CUSTOM_36,
-    client_nic_bw: float = 6.25 * GiB,
+    client_nic_bw: float = CLIENT_N2_HIGHCPU_32.nic_bw,
 ) -> float:
     """Best aggregate read bandwidth: per server the min of SSD read and
     NIC egress (6.25 GiB/s on this hardware), capped by the client-side

@@ -41,10 +41,6 @@ class InvalidArgumentError(StorageError):
     """An API call was made with invalid parameters (EINVAL / -DER_INVAL)."""
 
 
-class PermissionError_(StorageError):
-    """An operation is not permitted on this handle (EPERM / -DER_NO_PERM)."""
-
-
 class UnavailableError(StorageError):
     """The targeted service or device is down and no replica can serve the
     request (EIO / -DER_UNREACH)."""

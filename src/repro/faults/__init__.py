@@ -4,8 +4,8 @@ A :class:`FaultPlan` is an ordered list of :class:`FaultEvent`\\ s pinned
 to simulation time (optionally anchored to a workload phase), executed
 by a :class:`FaultController` process registered with the simulator.
 Events drive the existing failure primitives — ``Pool.fail_target`` /
-``restore_target``, ``SSD.fail/restore``, ``FlowNetwork`` capacity
-changes, ``Gate``\\ s — and can auto-trigger ``run_rebuild`` as
+``restore_target``, ``SSD.fail/restore`` and ``FlowNetwork`` capacity
+changes — and can auto-trigger ``run_rebuild`` as
 competing background traffic.  :class:`RetryPolicy` gives clients
 timeout/retry/backoff semantics so foreground I/O survives the window.
 

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Union
 from repro.errors import ConfigError
 from repro.faults.plan import PARTITION_FACTOR, FaultEvent, FaultPlan, parse_fault_plan
 from repro.obs.ledger import NULL_LEDGER
-from repro.sim.primitives import Gate
 
 if TYPE_CHECKING:
     from repro.daos.rebuild import RebuildReport
@@ -46,7 +45,6 @@ class FaultController:
         self.injected = 0
         self.recovered = 0
         self.reports: List[RebuildReport] = []
-        self._gates: Dict[str, Gate] = {}
         self._phase_signals: Dict[str, Any] = {}
         self._link_caps: Dict[str, float] = {}
         self._rebuilds_running = 0
@@ -79,10 +77,6 @@ class FaultController:
         sig = self._phase_signal(name)
         if not sig.fired:
             sig.succeed()
-
-    def register_gate(self, name: str, gate: Gate) -> None:
-        """Expose a workload gate to ``gate@...`` events."""
-        self._gates[name] = gate
 
     @property
     def objects_lost(self) -> List[str]:
@@ -134,8 +128,6 @@ class FaultController:
             self._link_caps.setdefault(event.arg, link.capacity)
             factor = event.factor if event.factor > 0 else PARTITION_FACTOR
             self.net.set_capacity(event.arg, self._link_caps[event.arg] * factor)
-        elif kind == "gate":
-            self._gate(event.arg).close()
 
     def _recover(self, event: FaultEvent) -> None:
         kind = event.kind
@@ -147,8 +139,6 @@ class FaultController:
             self._ssd_units(event.arg, alive=True)
         elif kind == "link":
             self.net.set_capacity(event.arg, self._link_caps[event.arg])
-        elif kind == "gate":
-            self._gate(event.arg).open()
 
     # -- backend dispatch ----------------------------------------------------
     def _storage_units(self) -> List[Any]:
@@ -288,11 +278,3 @@ class FaultController:
             return self.net.link(name)
         except SimulationError:
             raise ConfigError(f"unknown link {name!r} in fault plan") from None
-
-    def _gate(self, name: str) -> Gate:
-        gate = self._gates.get(name)
-        if gate is None:
-            raise ConfigError(
-                f"gate {name!r} not registered with the fault controller"
-            )
-        return gate

@@ -3,7 +3,7 @@
 Grammar (one plan = ``;``-joined events)::
 
     event  := kind '@' [phase '+'] seconds ':' arg (',' option)*
-    kind   := 'target' | 'server' | 'ssd' | 'link' | 'gate'
+    kind   := 'target' | 'server' | 'ssd' | 'link'
     option := 'recover=' seconds | 'rebuild' | 'factor=' float
             | 'share=' float
 
@@ -16,7 +16,6 @@ Examples::
     link@2.0:srv1.nic.tx,factor=0.1 # drop a NIC link to 10% capacity
     link@2.0:cli0.nic.rx,factor=0   # partition (capacity -> ~zero)
     server@1.5:1,recover=1.0        # crash server node 1, back at 2.5 s
-    gate@0.1:checkpoint,recover=1   # hold a named gate closed for 1 s
 
 Times are in simulated seconds.  ``phase+`` anchors the offset to the
 moment every workload rank enters the named phase (all ranks mark the
@@ -37,7 +36,7 @@ from repro.errors import ConfigError
 
 __all__ = ["FaultEvent", "FaultPlan", "parse_fault_plan"]
 
-_KINDS = ("target", "server", "ssd", "link", "gate")
+_KINDS = ("target", "server", "ssd", "link")
 
 #: a "partitioned" link keeps this fraction of its capacity: FlowNetwork
 #: requires strictly positive capacities, and a 1e-6 factor starves any

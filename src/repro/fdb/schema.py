@@ -14,7 +14,7 @@ canonical strings are.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Iterable, Iterator, List, Tuple
 
 from repro.errors import InvalidArgumentError
 
@@ -114,10 +114,6 @@ class FdbKey:
 
     def __repr__(self) -> str:
         return f"FdbKey({self._canonical!r})"
-
-    @property
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.items)
 
     def canonical(self) -> str:
         """Canonical string form, in schema order (the index key)."""

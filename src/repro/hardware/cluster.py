@@ -18,8 +18,7 @@ max-min allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import repro.obs
 from repro.errors import ConfigError
@@ -33,7 +32,6 @@ from repro.hardware.ssd import SsdDevice
 from repro.sim.core import Simulator
 from repro.sim.flownet import FlowNetwork, Link
 from repro.sim.randomness import RngStreams
-from repro.units import left_sum
 
 __all__ = ["Cluster", "ServerNode", "ClientNode", "FabricParams"]
 
@@ -133,34 +131,6 @@ class Cluster:
         #: set by repro.faults.FaultController; workloads announce phase
         #: starts through it so plans can anchor events to phases
         self.fault_controller = None
-
-    # -- capacity rooflines (used by the harness for "ideal" series) --------
-    def write_roofline(self) -> float:
-        """Best possible aggregate write bandwidth: per server the min of
-        SSD aggregate write and NIC RX (paper: 3.86 GiB/s/server)."""
-        return left_sum(
-            min(s.spec.nvme_write_bw, s.spec.nic_bw) for s in self.servers
-        )
-
-    def read_roofline(self) -> float:
-        """Best possible aggregate read bandwidth: per server the min of
-        SSD aggregate read and NIC TX (paper: 6.25 GiB/s/server), further
-        capped by total client NIC RX."""
-        server_side = left_sum(
-            min(s.spec.nvme_read_bw, s.spec.nic_bw) for s in self.servers
-        )
-        client_side = left_sum(c.spec.nic_bw for c in self.clients)
-        return min(server_side, client_side) if self.clients else server_side
-
-    def add_server(self, spec: Optional[ServerSpec] = None) -> ServerNode:
-        node = ServerNode(self, len(self.servers), spec or SERVER_N2_CUSTOM_36)
-        self.servers.append(node)
-        return node
-
-    def add_client(self, spec: Optional[ClientSpec] = None) -> ClientNode:
-        node = ClientNode(self, len(self.clients), spec or CLIENT_N2_HIGHCPU_32)
-        self.clients.append(node)
-        return node
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Cluster servers={len(self.servers)} clients={len(self.clients)}>"

@@ -14,7 +14,8 @@ base_seed)``:
   a fresh child for every point attempt (at most ``jobs`` alive at
   once), and the child sends ``(ok, result-or-exception)`` back over a
   one-way pipe.  Nothing is shared between points, so a crash, a
-  timeout or a kill touches exactly one point.
+  timeout or a kill touches exactly one point.  A child dies with its
+  parent, so a killed CLI leaves no point running.
 - **Incremental checkpointing** — every completed point is reported
   through ``on_result`` the moment its child reports, so
   :func:`~repro.harness.executor.execute_plans` can ``cache.put`` it
@@ -53,6 +54,7 @@ because none of it can reach modelled results.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -233,14 +235,36 @@ def _resilient_task(task: PointTask, attempt: int) -> PointResult:
     return _run_task_observed(task)
 
 
-def _point_child(conn: Connection, task: PointTask, attempt: int) -> None:
+#: Linux ``prctl`` option: the signal the kernel sends when the parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies, and
+    end at once if the parent already died between fork and this call.
+
+    Without it a SIGTERM or SIGKILL to the parent leaves its point
+    processes running on under pid 1.  Where ``prctl`` is missing (not
+    Linux) only the parent-pid check remains.
+    """
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):
+        pass
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
+def _point_child(conn: Connection, task: PointTask, attempt: int, parent_pid: int) -> None:
     """A point's forked process: run the attempt, send ``(ok, value)``
     once, and end without running any of the parent's exit handlers.
 
+    The process dies with ``parent_pid`` (see :func:`_die_with_parent`).
     A point's own exception is sent with its traceback as a note (where
     the Python has ``add_note``), so the parent re-raises the same type
     and message and still shows where it was raised.
     """
+    _die_with_parent(parent_pid)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         try:
@@ -330,7 +354,7 @@ class ResilientParallelExecutor:
             recv_end, send_end = ctx.Pipe(duplex=False)
             child = ctx.Process(
                 target=_point_child,
-                args=(send_end, tasks[index], crashes[index]),
+                args=(send_end, tasks[index], crashes[index], os.getpid()),
                 daemon=True,
             )
             child.start()

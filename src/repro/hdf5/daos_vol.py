@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from repro.daos.client import DaosClient
-from repro.errors import InvalidArgumentError, NotFoundError
+from repro.errors import NotFoundError
 from repro.units import MiB
 
 __all__ = ["Hdf5VolParams", "Hdf5DaosVol", "Hdf5VolFile"]
@@ -70,14 +70,6 @@ class Hdf5DaosVol:
         """H5Fcreate: one container per calling writer process."""
         cont = yield from self.client.create_container(name, materialize=False)
         return Hdf5VolFile(self, name, cont)
-
-    def open_file(self, name: str) -> Generator:
-        cont = yield from self.client.open_container(name)
-        file = Hdf5VolFile(self, name, cont)
-        for oid, obj in cont.objects.items():
-            # rebuild the op-index map from the allocation order
-            file.objects[len(file.objects)] = obj
-        return file
 
     def write_op(self, file: Hdf5VolFile, op_index: int, op_size: int, data=None) -> Generator:
         """One dataset write: create a fresh object, then write it."""

@@ -1,17 +1,16 @@
 """Small AST helpers shared by the rules: the wall-clock call table,
-import resolution, dotted names, and function iteration."""
+import resolution, dotted names, and block termination."""
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "WALLCLOCK_CALLS",
     "ImportMap",
     "dotted_name",
     "resolve_call_name",
-    "iter_functions",
     "block_terminates",
 ]
 
@@ -90,17 +89,6 @@ def resolve_call_name(func: ast.AST, imports: ImportMap) -> Optional[str]:
     if full_root is None:
         return dotted
     return f"{full_root}.{rest}" if rest else full_root
-
-
-def iter_functions(tree: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST]]:
-    """Yield ``(func_node, parent)`` for every (async) function def."""
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, parents.get(id(node), tree)
 
 
 def block_terminates(stmts: List[ast.stmt]) -> bool:

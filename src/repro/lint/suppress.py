@@ -124,11 +124,3 @@ def parse_pragma(comment: str) -> Optional[Set[str]]:
     if raw is None or not raw.strip():
         return {ALL_CODES}
     return {part.strip().upper() for part in raw.split(",") if part.strip()}
-
-
-def split_pragma_errors(comment: str) -> Tuple[Optional[Set[str]], Optional[str]]:
-    """Like :func:`parse_pragma` but also reports malformed pragmas
-    (``simlint:`` prefix present, verb unparseable) for diagnostics."""
-    if re.search(r"#\s*simlint:", comment) and parse_pragma(comment) is None:
-        return None, f"malformed simlint pragma: {comment.strip()!r}"
-    return parse_pragma(comment), None

@@ -46,7 +46,6 @@ class MetadataServer:
     def __init__(self, net, capacity_ops: float, name: str = "lustre.mds"):
         self.link: Link = net.add_link(name, capacity_ops)
         self.root = Inode(path="/", is_dir=True, mode=0o755)
-        self._count = 1
 
     # -- pure namespace operations (request charging is the client's job) --
     @staticmethod
@@ -101,7 +100,6 @@ class MetadataServer:
             ost_indices=list(ost_indices),
         )
         parent.children[name] = inode
-        self._count += 1
         return inode
 
     def unlink(self, path: str) -> Inode:
@@ -112,7 +110,6 @@ class MetadataServer:
         if inode.is_dir and inode.children:
             raise InvalidArgumentError(f"{path!r}: directory not empty")
         del parent.children[name]
-        self._count -= 1
         return inode
 
     def readdir(self, path: str) -> List[str]:
@@ -120,7 +117,3 @@ class MetadataServer:
         if not inode.is_dir:
             raise InvalidArgumentError(f"{path!r} is not a directory")
         return sorted(inode.children)
-
-    @property
-    def inode_count(self) -> int:
-        return self._count

@@ -7,12 +7,10 @@ on.  It provides:
   generator-based :class:`~repro.sim.core.Process` coroutines,
   :class:`~repro.sim.core.Timeout` and one-shot :class:`~repro.sim.core.Signal`
   waitables;
-- :mod:`repro.sim.primitives` — synchronisation primitives (semaphores,
-  barriers, FIFO stores, gates) layered on signals;
+- :mod:`repro.sim.primitives` — the cyclic :class:`~repro.sim.primitives.Barrier`
+  (MPI phase boundaries) layered on signals;
 - :mod:`repro.sim.flownet` — the weighted max-min fair flow network that
   models bandwidth sharing over NICs, SSDs, and metadata services;
-- :mod:`repro.sim.resources` — FIFO service centres and token buckets for
-  fine-grained (per-operation) queueing models;
 - :mod:`repro.sim.randomness` — deterministic, named RNG streams;
 - :mod:`repro.sim.stats` — first-start/last-end bandwidth accounting as
   defined in the paper's methodology section.
@@ -20,7 +18,7 @@ on.  It provides:
 
 from repro.sim.core import Process, Signal, Simulator, Timeout
 from repro.sim.flownet import FlowNetwork, Link
-from repro.sim.primitives import Barrier, Gate, Semaphore, Store
+from repro.sim.primitives import Barrier
 from repro.sim.randomness import RngStreams
 from repro.sim.stats import PhaseRecorder
 
@@ -31,10 +29,7 @@ __all__ = [
     "Timeout",
     "FlowNetwork",
     "Link",
-    "Semaphore",
     "Barrier",
-    "Store",
-    "Gate",
     "RngStreams",
     "PhaseRecorder",
 ]

@@ -11,11 +11,11 @@ The kernel is a classic calendar-queue discrete-event simulator:
   the two heads; dispatch order is identical to a single global heap.
 - :class:`Process` wraps a Python generator.  The generator ``yield``\\ s
   *waitables* — :class:`Timeout`, :class:`Signal`, another
-  :class:`Process`, or :class:`AllOf`/:class:`AnyOf` combinators — and is
+  :class:`Process`, or the :class:`AnyOf` combinator — and is
   resumed when the waitable completes, receiving the waitable's value as
   the result of the ``yield`` expression.
 - :class:`Signal` is the one-shot event every higher-level primitive
-  (semaphores, barriers, flow completions) is built from.
+  (barriers, flow completions) is built from.
 
 Design notes
 ------------
@@ -41,7 +41,6 @@ __all__ = [
     "Process",
     "Signal",
     "Timeout",
-    "AllOf",
     "AnyOf",
     "Interrupt",
     "EventHandle",
@@ -196,50 +195,6 @@ class Signal(Waitable):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else "pending"
         return f"<Signal {self.name!r} {state}>"
-
-
-class AllOf(Waitable):
-    """Completes when every child waitable has completed.
-
-    The value is the list of child values in order.  The first child
-    exception fails the combinator.
-    """
-
-    def __init__(self, waitables: Iterable[Waitable]) -> None:
-        self.waitables = list(waitables)
-
-    def _subscribe(self, sim: "Simulator", callback: DoneCallback) -> Unsubscribe:
-        remaining = len(self.waitables)
-        if remaining == 0:
-            handle = sim.schedule(0.0, callback, [], None)
-            return handle.cancel
-        values: list[Any] = [None] * remaining
-        state = {"left": remaining, "failed": False}
-        unsubs: list[Unsubscribe] = []
-
-        def make_child(i: int) -> DoneCallback:
-            def child_done(value: Any, exc: Optional[BaseException]) -> None:
-                if state["failed"]:
-                    return
-                if exc is not None:
-                    state["failed"] = True
-                    callback(None, exc)
-                    return
-                values[i] = value
-                state["left"] -= 1
-                if state["left"] == 0:
-                    callback(values, None)
-
-            return child_done
-
-        for i, w in enumerate(self.waitables):
-            unsubs.append(w._subscribe(sim, make_child(i)))
-
-        def unsubscribe() -> None:
-            for u in unsubs:
-                u()
-
-        return unsubscribe
 
 
 class AnyOf(Waitable):
@@ -453,9 +408,6 @@ class Simulator:
     def signal(self, name: str = "") -> Signal:
         """Create a fresh one-shot signal bound to this simulator."""
         return Signal(self, name=name)
-
-    def all_of(self, waitables: Iterable[Waitable]) -> AllOf:
-        return AllOf(waitables)
 
     def any_of(self, waitables: Iterable[Waitable]) -> AnyOf:
         return AnyOf(waitables)

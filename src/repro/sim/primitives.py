@@ -1,73 +1,15 @@
-"""Synchronisation primitives built on :class:`~repro.sim.core.Signal`.
-
-These are the building blocks the simulated MPI runtime and storage
-services use: counting semaphores (thread pools, request windows), cyclic
-barriers (the phase boundaries every benchmark in the paper inserts
-between its write and read phases), FIFO stores (request queues), and
-gates (service up/down switches for failure injection).
+"""The one synchronisation primitive the model needs, built on
+:class:`~repro.sim.core.Signal`: a cyclic :class:`Barrier`, the phase
+boundary every benchmark in the paper inserts between its write and
+read phases (the simulated MPI runtime's ``MPI_Barrier``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional
-
 from repro.errors import SimulationError
-from repro.sim.core import Signal, Simulator, Waitable
+from repro.sim.core import Simulator, Waitable
 
-__all__ = ["Semaphore", "Barrier", "Store", "Gate"]
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeup order.
-
-    ``yield sem.acquire()`` blocks until a unit is available.  Units are
-    returned with :meth:`release` (not tied to the acquiring process, so a
-    pool manager may recycle them).
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "sem"):
-        if capacity < 1:
-            raise SimulationError(f"semaphore capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._available = capacity
-        self._queue: Deque[Signal] = deque()
-
-    @property
-    def available(self) -> int:
-        return self._available
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    def acquire(self) -> Waitable:
-        """Waitable that completes once a unit has been granted."""
-        sig = self.sim.signal(name=f"{self.name}.acquire")
-        if self._available > 0 and not self._queue:
-            self._available -= 1
-            sig.succeed()
-        else:
-            self._queue.append(sig)
-        return sig
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._available > 0 and not self._queue:
-            self._available -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Return one unit, waking the oldest waiter if any."""
-        if self._queue:
-            self._queue.popleft().succeed()
-        else:
-            self._available += 1
-            if self._available > self.capacity:
-                raise SimulationError(f"semaphore {self.name!r} over-released")
+__all__ = ["Barrier"]
 
 
 class Barrier:
@@ -105,77 +47,4 @@ class Barrier:
             self.cycle += 1
             self._release = self.sim.signal(name=f"{self.name}.cycle{self.cycle}")
             sig.succeed(self.cycle - 1)
-        return sig
-
-
-class Store:
-    """Unbounded FIFO queue of items with blocking ``get``.
-
-    Producers :meth:`put` items immediately; consumers ``yield
-    store.get()`` and receive items in arrival order.  This is the request
-    queue used by simulated service daemons.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Waitable:
-        sig = self.sim.signal(name=f"{self.name}.get")
-        if self._items:
-            sig.succeed(self._items.popleft())
-        else:
-            self._getters.append(sig)
-        return sig
-
-    def try_get(self) -> Optional[Any]:
-        if self._items:
-            return self._items.popleft()
-        return None
-
-
-class Gate:
-    """An open/closed switch processes can wait on.
-
-    While open, ``yield gate.passage()`` completes immediately; while
-    closed, waiters queue until :meth:`open` is called.  Used to model a
-    service going down (failure injection) and coming back.
-    """
-
-    def __init__(self, sim: Simulator, is_open: bool = True, name: str = "gate"):
-        self.sim = sim
-        self.name = name
-        self._open = is_open
-        self._waiters: list[Signal] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for sig in waiters:
-            sig.succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def passage(self) -> Waitable:
-        sig = self.sim.signal(name=f"{self.name}.passage")
-        if self._open:
-            sig.succeed()
-        else:
-            self._waiters.append(sig)
         return sig

@@ -11,7 +11,7 @@ operation counts so IOPS figures (paper Fig. 2) use the same window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -31,36 +31,6 @@ class PhaseStats:
     lost_ops: int = 0
     first_start: Seconds = math.inf
     last_end: Seconds = -math.inf
-    #: per-record durations (only meaningful for per-op records, i.e.
-    #: exact-mode runs; aggregate batches contribute one entry per batch)
-    latencies: list = field(default_factory=list)
-
-    def latency_percentile(self, pct: float) -> float:
-        """Latency percentile in seconds over recorded operations.
-
-        Uses linear interpolation between closest ranks (the same
-        definition as ``numpy.percentile``'s default), so p50 of
-        ``[1, 2, 3, 4]`` is 2.5 rather than whichever neighbour a
-        nearest-rank rounding happened to land on.
-        """
-        if not self.latencies:
-            return 0.0
-        if not 0 <= pct <= 100:
-            raise SimulationError(f"percentile must be in [0, 100]: {pct}")
-        ordered = sorted(self.latencies)
-        rank = pct / 100 * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return left_sum(self.latencies) / len(self.latencies)
 
     @property
     def elapsed(self) -> Seconds:
@@ -110,7 +80,6 @@ class PhaseRecorder:
         stats = self.phase(phase)
         stats.bytes += int(nbytes)
         stats.ops += int(ops)
-        stats.latencies.append(end - start)
         if start < stats.first_start:
             stats.first_start = start
         if end > stats.last_end:

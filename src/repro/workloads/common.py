@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.ceph.monitor import CephCluster
@@ -39,7 +39,6 @@ class WorkloadConfig:
     op_size: Bytes = MiB
     mode: str = "aggregate"
     batches: int = 2
-    write_phase: bool = True
     read_phase: bool = True
     jitter_sigma: float = 0.02
     object_class: str = "SX"
@@ -185,12 +184,7 @@ class PhasedRunner:
 
     # -- skeleton ------------------------------------------------------------------
     def phases(self) -> List[str]:
-        out: List[str] = []
-        if self.cfg.write_phase:
-            out.append("write")
-        if self.cfg.read_phase:
-            out.append("read")
-        return out
+        return ["write", "read"] if self.cfg.read_phase else ["write"]
 
     def _rank_main(self, rank: Any) -> Generator[Any, Any, None]:
         cfg = self.cfg

@@ -14,7 +14,8 @@ from repro.analysis import (
     write_roofline,
 )
 from repro.errors import InvalidArgumentError
-from repro.units import GiB
+from repro.hardware.specs import CLIENT_N2_HIGHCPU_32
+from repro.units import GiB, Gbps
 
 
 # -- rooflines (paper Sec. III-A/B numbers) ------------------------------------
@@ -29,6 +30,13 @@ def test_write_roofline_paper_value():
 def test_read_roofline_server_vs_client_bound():
     assert read_roofline(16, n_client_nodes=32) == pytest.approx(100 * GiB)
     assert read_roofline(16, n_client_nodes=8) == pytest.approx(50 * GiB)
+
+
+def test_read_roofline_client_nic_is_the_client_spec():
+    # the default client NIC is the n2-highcpu-32 spec's 50 Gbps, which
+    # is exactly the paper's 6.25 GiB/s per node
+    assert CLIENT_N2_HIGHCPU_32.nic_bw == 50 * Gbps == 6.25 * GiB
+    assert read_roofline(16, n_client_nodes=1) == CLIENT_N2_HIGHCPU_32.nic_bw
 
 
 def test_roofline_validation():

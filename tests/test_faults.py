@@ -35,7 +35,6 @@ from repro.harness.experiment import (
 from repro.harness.figures import plan_figure
 from repro.harness.plan import with_faults
 from repro.lustre.fs import LustreFilesystem
-from repro.sim.primitives import Gate
 from repro.units import MiB
 from repro.workloads.common import DaosEnv
 
@@ -109,6 +108,7 @@ def test_empty_plan_is_no_faults():
 
 @pytest.mark.parametrize("bad", [
     "disk@1:0",             # unknown kind
+    "gate@0.1:ckpt,recover=1",      # gate is no fault kind
     "target@-1:0",          # negative time
     "target@1",             # missing argument
     "target@abc:0",         # bad time
@@ -123,6 +123,21 @@ def test_empty_plan_is_no_faults():
 def test_plan_rejects(bad):
     with pytest.raises(ConfigError):
         parse_fault_plan(bad)
+
+
+def test_cli_rejects_gate_fault_before_planning(monkeypatch, capsys):
+    # gate is no fault kind: the plan fails when parsed, a usage error,
+    # before any figure is planned
+    import repro.harness.cli as cli
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a figure was planned before --faults was parsed")
+
+    monkeypatch.setattr(cli, "plan_figure", no_plan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["F1", "--faults", "gate@0.1:x"])
+    assert exc.value.code == 2
+    assert "--faults: unknown fault kind 'gate'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad,value", [
@@ -147,7 +162,7 @@ _SECONDS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def _fault_events(draw):
     """Any event the docs/FAULTS.md grammar admits."""
-    kind = draw(st.sampled_from(["target", "server", "ssd", "link", "gate"]))
+    kind = draw(st.sampled_from(["target", "server", "ssd", "link"]))
     if kind in ("target", "server"):
         arg = str(draw(st.integers(0, 10**6)))
     elif kind == "ssd":
@@ -250,33 +265,9 @@ def test_controller_link_degrade_and_partition():
     assert seen[2] == pytest.approx(cap)
 
 
-def test_controller_gate_closes_and_reopens():
-    env = daos_env()
-    controller = FaultController(env, "gate@0.1:ckpt,recover=0.2")
-    gate = Gate(env.cluster.sim, is_open=True, name="ckpt")
-    controller.register_gate("ckpt", gate)
-    sim = env.cluster.sim
-    seen = []
-
-    def probe():
-        yield sim.timeout(0.2)
-        seen.append(gate.is_open)
-        yield gate.passage()  # blocked until recovery opens the gate
-        seen.append(sim.now)
-
-    sim.process(probe())
-    sim.run()
-    assert seen[0] is False
-    assert seen[1] == pytest.approx(0.3)
-
-
-def test_controller_unknown_link_and_gate_raise():
+def test_controller_unknown_link_raises():
     env = daos_env()
     FaultController(env, "link@0:nope")
-    with pytest.raises(ConfigError):
-        env.cluster.sim.run()
-    env = daos_env()
-    FaultController(env, "gate@0:unregistered")
     with pytest.raises(ConfigError):
         env.cluster.sim.run()
 

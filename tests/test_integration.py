@@ -1,15 +1,13 @@
 """Cross-module integration scenarios: full stacks exercised end to end
 with real (materialised) data."""
 
-import pytest
-
 from repro.daos import DaosClient, Pool
 from repro.dfs import Dfs
 from repro.dfuse import DfuseMount, InterceptedMount
 from repro.fdb import FDB, FdbDaosBackend, key_sequence
 from repro.hardware import Cluster
 from repro.hdf5 import Hdf5PosixFile
-from repro.units import GiB, KiB, MiB
+from repro.units import KiB, MiB
 
 
 def drive(cluster, gen):
@@ -130,15 +128,6 @@ def test_materialized_exact_ior_verifies_data():
     )
     rec = run_ior(env, cfg, "DAOS")
     assert rec.get("write").bytes == rec.get("read").bytes == 2 * 4 * 64 * KiB
-
-
-def test_cluster_rooflines_match_paper():
-    cluster = Cluster(n_servers=16, n_clients=32, seed=0)
-    assert cluster.write_roofline() == pytest.approx(61.76 * GiB, rel=1e-3)
-    assert cluster.read_roofline() == pytest.approx(100 * GiB, rel=1e-3)
-    small = Cluster(n_servers=16, n_clients=8, seed=0)
-    # client-side NIC bound when clients are few
-    assert small.read_roofline() == pytest.approx(50 * GiB, rel=1e-3)
 
 
 def test_target_failure_during_timed_run():

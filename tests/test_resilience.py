@@ -9,12 +9,16 @@ one attempt, the same way whichever executor runs it, with every
 finished point already in the cache and no point process left behind.
 """
 
+import contextlib
 import math
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,60 @@ def test_cli_point_failure_exits_2_naming_the_point(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "error: PointFailed: point PointSpec(workload='rawio'" in err
     assert "api='iperf'" in err and "--point-timeout=10.0s" in err
+
+
+def _child_pids(pid):
+    try:
+        return [int(p) for p in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+    except OSError:
+        return []
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs Linux /proc child lists",
+)
+def test_point_process_dies_with_its_sigkilled_parent():
+    # every HW point hangs for 60 s in its own process (--point-timeout
+    # forks points under --jobs 1 too); SIGKILL the CLI while one runs:
+    # the kernel must take the point process down with it
+    import repro
+
+    env = dict(os.environ, **{CHAOS_ENV: "sleep:workload='rawio':60"})
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "repro.harness.cli", "HW", "--jobs", "1",
+         "--point-timeout", "300"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while not children and time.monotonic() < deadline and cli.poll() is None:
+            time.sleep(0.05)
+            children = _child_pids(cli.pid)
+        assert children, "the CLI started no point process"
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, children))
+    finally:
+        cli.kill()
+        cli.wait()
+        for pid in filter(_alive, children):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ------------------------------------------------- interrupt -> re-run

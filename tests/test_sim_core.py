@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim.core import AnyOf, Interrupt, Simulator
 
 
 def test_time_starts_at_zero():
@@ -207,35 +207,6 @@ def test_signal_fail_raises_in_waiter():
     sim.schedule(1.0, sig.fail, RuntimeError("down"))
     sim.run()
     assert proc.result == "failed as expected"
-
-
-def test_all_of_waits_for_every_child():
-    sim = Simulator()
-
-    def sleeper(dt):
-        yield sim.timeout(dt)
-        return dt
-
-    def parent():
-        procs = [sim.process(sleeper(d)) for d in (3.0, 1.0, 2.0)]
-        values = yield AllOf(procs)
-        return (sim.now, values)
-
-    proc = sim.process(parent())
-    sim.run()
-    assert proc.result == (3.0, [3.0, 1.0, 2.0])
-
-
-def test_all_of_empty_completes_immediately():
-    sim = Simulator()
-
-    def parent():
-        values = yield AllOf([])
-        return (sim.now, values)
-
-    proc = sim.process(parent())
-    sim.run()
-    assert proc.result == (0.0, [])
 
 
 def test_any_of_returns_first_completion():

@@ -1,78 +1,10 @@
-"""Semaphores, barriers, stores, gates."""
+"""The cyclic barrier."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
-from repro.sim.primitives import Barrier, Gate, Semaphore, Store
-
-
-# -- Semaphore ---------------------------------------------------------------
-
-
-def test_semaphore_limits_concurrency():
-    sim = Simulator()
-    sem = Semaphore(sim, 2)
-    concurrent = {"now": 0, "peak": 0}
-
-    def worker():
-        yield sem.acquire()
-        concurrent["now"] += 1
-        concurrent["peak"] = max(concurrent["peak"], concurrent["now"])
-        yield sim.timeout(1.0)
-        concurrent["now"] -= 1
-        sem.release()
-
-    for _ in range(6):
-        sim.process(worker())
-    sim.run()
-    assert concurrent["peak"] == 2
-    assert sim.now == pytest.approx(3.0)  # 6 jobs, 2 at a time, 1s each
-
-
-def test_semaphore_fifo_order():
-    sim = Simulator()
-    sem = Semaphore(sim, 1)
-    order = []
-
-    def worker(i):
-        yield sem.acquire()
-        order.append(i)
-        yield sim.timeout(1.0)
-        sem.release()
-
-    for i in range(5):
-        sim.process(worker(i))
-    sim.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_semaphore_try_acquire():
-    sim = Simulator()
-    sem = Semaphore(sim, 1)
-    assert sem.try_acquire() is True
-    assert sem.try_acquire() is False
-    sem.release()
-    assert sem.try_acquire() is True
-
-
-def test_semaphore_over_release_rejected():
-    sim = Simulator()
-    sem = Semaphore(sim, 1)
-    with pytest.raises(SimulationError):
-        sem.release()
-
-
-def test_semaphore_bad_capacity():
-    with pytest.raises(SimulationError):
-        Semaphore(Simulator(), 0)
-
-
-def test_semaphore_counts():
-    sim = Simulator()
-    sem = Semaphore(sim, 3)
-    assert sem.available == 3
-    assert sem.queued == 0
+from repro.sim.primitives import Barrier
 
 
 # -- Barrier -------------------------------------------------------------------
@@ -137,104 +69,3 @@ def test_barrier_overflow_rejected():
 def test_barrier_bad_parties():
     with pytest.raises(SimulationError):
         Barrier(Simulator(), 0)
-
-
-# -- Store ----------------------------------------------------------------------
-
-
-def test_store_fifo_delivery():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            store.put(i)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-
-def test_store_buffers_when_no_getter():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-    assert store.try_get() == "a"
-    assert store.try_get() == "b"
-    assert store.try_get() is None
-
-
-def test_store_multiple_getters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.process(getter("first"))
-    sim.process(getter("second"))
-    sim.schedule(1.0, store.put, "x")
-    sim.schedule(2.0, store.put, "y")
-    sim.run()
-    assert got == [("first", "x"), ("second", "y")]
-
-
-# -- Gate --------------------------------------------------------------------------
-
-
-def test_gate_open_passes_immediately():
-    sim = Simulator()
-    gate = Gate(sim, is_open=True)
-
-    def walker():
-        yield gate.passage()
-        return sim.now
-
-    proc = sim.process(walker())
-    sim.run()
-    assert proc.result == 0.0
-
-
-def test_gate_closed_blocks_until_open():
-    sim = Simulator()
-    gate = Gate(sim, is_open=False)
-
-    def walker():
-        yield gate.passage()
-        return sim.now
-
-    proc = sim.process(walker())
-    sim.schedule(5.0, gate.open)
-    sim.run()
-    assert proc.result == 5.0
-    assert gate.is_open
-
-
-def test_gate_close_reblocks():
-    sim = Simulator()
-    gate = Gate(sim, is_open=True)
-    times = []
-
-    def walker():
-        yield gate.passage()
-        times.append(sim.now)
-        gate.close()
-        yield gate.passage()
-        times.append(sim.now)
-
-    sim.process(walker())
-    sim.schedule(2.0, gate.open)
-    sim.run()
-    assert times == [0.0, 2.0]

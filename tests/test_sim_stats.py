@@ -93,46 +93,3 @@ def test_mean_std_basic():
 def test_mean_std_single_and_empty():
     assert mean_std([5.0]) == (5.0, 0.0)
     assert mean_std([]) == (0.0, 0.0)
-
-
-def test_latency_tracking():
-    rec = PhaseRecorder()
-    for i, dur in enumerate((0.1, 0.2, 0.3, 0.4)):
-        rec.record("write", start=float(i), end=float(i) + dur, nbytes=1)
-    stats = rec.get("write")
-    assert stats.mean_latency == pytest.approx(0.25)
-    assert stats.latency_percentile(0) == pytest.approx(0.1)
-    assert stats.latency_percentile(100) == pytest.approx(0.4)
-    assert stats.latency_percentile(50) == pytest.approx(0.2, abs=0.11)
-
-
-def test_latency_percentile_linear_interpolation():
-    """Regression pin for the interpolated-percentile definition (the
-    old nearest-rank rounding returned 51.0 for p50 of 1..100)."""
-    rec = PhaseRecorder()
-    for v in range(1, 101):  # latencies 1, 2, ..., 100
-        rec.record("write", start=0.0, end=float(v), nbytes=1)
-    stats = rec.get("write")
-    assert stats.latency_percentile(50) == pytest.approx(50.5)
-    assert stats.latency_percentile(99) == pytest.approx(99.01)
-    assert stats.latency_percentile(0) == pytest.approx(1.0)
-    assert stats.latency_percentile(100) == pytest.approx(100.0)
-
-
-def test_latency_percentile_interpolates_between_ranks():
-    rec = PhaseRecorder()
-    for v in (1.0, 2.0, 3.0, 4.0):
-        rec.record("write", start=0.0, end=v, nbytes=1)
-    stats = rec.get("write")
-    assert stats.latency_percentile(50) == pytest.approx(2.5)
-    assert stats.latency_percentile(25) == pytest.approx(1.75)
-
-
-def test_latency_percentile_empty_and_invalid():
-    rec = PhaseRecorder()
-    stats = rec.phase("write")
-    assert stats.latency_percentile(99) == 0.0
-    assert stats.mean_latency == 0.0
-    rec.record("write", 0.0, 1.0, 1)
-    with pytest.raises(SimulationError):
-        rec.get("write").latency_percentile(120)
